@@ -7,6 +7,13 @@ over the generators; values are exact roots of unity indexed in Z/L with
 L the group exponent, and floating point enters only in the final
 complex exponential.  Discrete logs are precomputed per component, O(q)
 storage, which is ample for the supported range q <= 10^4.
+
+Each modulus has one table, built once per ``CharacterGroup``: the unit
+residues, their generator exponents (the discrete-log grid coordinates)
+and the phi(q) characters.  A single character sum buckets the residue
+counts by value index as exact integers and touches the L roots of unity
+only at the end; all phi(q) sums at once are one FFT over the grid of
+shape ``orders``.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .counting import count_ultrafriable_residues
 from .errors import DomainError, ResourceError
 
 CHARACTER_Q_BOUND = 10**4
+_INT64_LIMIT = 1 << 63
 
 
 def _primitive_root_mod_p(p: int) -> int:
@@ -50,31 +58,33 @@ class _Component:
     prime_power: int
     generators: tuple[int, ...]  # residues mod prime_power
     orders: tuple[int, ...]
-    dlog: dict  # residue mod prime_power -> exponent tuple
+    dlog: np.ndarray  # row r: exponents of the unit r mod prime_power (rows of non-units are 0)
+
+
+def _powers_mod(g: int, n: int, m: int) -> np.ndarray:
+    """g^k mod m for k = 0 .. n-1."""
+    out = [1] * n
+    for k in range(1, n):
+        out[k] = out[k - 1] * g % m
+    return np.array(out, dtype=np.int64)
 
 
 def _build_component(p: int, e: int) -> _Component:
     pe = p**e
     if p == 2 and e == 1:
-        return _Component(2, (), (), {1: ()})
+        return _Component(2, (), (), np.zeros((2, 0), dtype=np.int64))
     if p == 2 and e >= 3:
         o1, o2 = 2, 2 ** (e - 2)
-        dlog = {}
-        r1 = 1
-        for i in range(o1):
-            r2 = r1
-            for k in range(o2):
-                dlog[r2 % pe] = (i, k)
-                r2 = (r2 * 5) % pe
-            r1 = (r1 * (pe - 1)) % pe
+        dlog = np.zeros((pe, 2), dtype=np.int64)
+        pows = _powers_mod(5, o2, pe)  # the units 5^k; the others are -5^k
+        dlog[pows, 1] = np.arange(o2)
+        dlog[pe - pows, 0] = 1
+        dlog[pe - pows, 1] = np.arange(o2)
         return _Component(pe, (pe - 1, 5), (o1, o2), dlog)
     g = _primitive_root_mod_pe(p, e) if p != 2 else 3  # p=2, e=2: (Z/4)* = <3>
     order = pe - pe // p
-    dlog = {}
-    r = 1
-    for k in range(order):
-        dlog[r] = (k,)
-        r = (r * g) % pe
+    dlog = np.zeros((pe, 1), dtype=np.int64)
+    dlog[_powers_mod(g, order, pe), 0] = np.arange(order)
     return _Component(pe, (g,), (order,), dlog)
 
 
@@ -98,21 +108,68 @@ class CharacterGroup:
         self.roots = np.exp(2j * math.pi * np.arange(L) / L)
         # exponent index of n: sum over generators of t_i * dlog_i(n) * (L / o_i)
         self._weights = tuple(L // o for o in self.orders)
+        # the unit table: residues coprime to q and their generator exponents
+        residues = np.arange(q, dtype=np.int64)
+        self.units = residues[np.gcd(residues, q) == 1]
+        empty = np.zeros((len(self.units), 0), dtype=np.int64)  # q = 1 has no components
+        self.dlogs = np.concatenate([empty] + [c.dlog[self.units % c.prime_power] for c in comps],
+                                    axis=1)
+        self._unit_row = np.full(q, -1, dtype=np.int64)
+        self._unit_row[self.units] = np.arange(len(self.units))
+        # each unit's flat position on the C-order grid of shape orders
+        strides = [math.prod(self.orders[i + 1:]) for i in range(len(self.orders))]
+        self._grid_index = self.dlogs @ np.array(strides, dtype=np.int64)
+        self._characters: tuple[DirichletCharacter, ...] | None = None
 
     def dlog_vector(self, n: int) -> tuple[int, ...] | None:
         """Generator exponents of n, or None when gcd(n, q) > 1."""
-        if math.gcd(n, self.q) != 1:
+        row = self._unit_row[n % self.q]
+        if row < 0:
             return None
-        out: list[int] = []
-        for c in self.components:
-            v = c.dlog.get(n % c.prime_power)
-            if v is None:
-                return None
-            out.extend(v)
-        return tuple(out)
+        return tuple(self.dlogs[row].tolist())
 
     def characters(self) -> list["DirichletCharacter"]:
-        return [DirichletCharacter(self, exps) for exps in product(*(range(o) for o in self.orders))]
+        """All phi(q) characters in lexicographic exponent order, built once."""
+        if self._characters is None:
+            self._characters = tuple(
+                DirichletCharacter(self, exps) for exps in product(*(range(o) for o in self.orders))
+            )
+        return list(self._characters)
+
+    def value_indices_at(self, n: int) -> np.ndarray:
+        """value_index of chi(n) for every chi, in ``characters()`` order; n coprime to q."""
+        steps = np.array(self.dlog_vector(n), dtype=np.int64) * np.array(self._weights, dtype=np.int64)
+        exps = np.indices(self.orders).reshape(len(self.orders), self.phi_q).T
+        return (exps @ steps) % self.exponent
+
+    def unit_counts(self, counts) -> np.ndarray:
+        """The residue counts at the unit residues, exact: int64 when their
+        total fits, else an object array of Python ints."""
+        if counts.q != self.q:
+            raise DomainError(f"residue counts are mod {counts.q}, characters mod {self.q}")
+        dtype = np.int64 if counts.total() < _INT64_LIMIT else object
+        return np.array(counts.counts, dtype=dtype)[self.units]
+
+    def character_sum(self, counts, chi: "DirichletCharacter") -> complex:
+        """sum_a chi(a) * counts[a], bucketed by value index before the roots."""
+        units = self.unit_counts(counts)
+        buckets = np.zeros(self.exponent, dtype=units.dtype)
+        np.add.at(buckets, chi.value_indices(), units)
+        return complex(np.dot(self.roots, buckets.astype(np.float64)))
+
+    def character_sums(self, counts) -> np.ndarray:
+        """sum_a chi(a) * counts[a] for every chi, in ``characters()`` order.
+
+        The unit counts sit on the grid of shape ``orders`` at their
+        discrete logs; the sum for exponent vector t is then the conjugate
+        of the grid's DFT at t.  The principal sum is the exact coprime count.
+        """
+        units = self.unit_counts(counts)
+        grid = np.zeros(self.phi_q, dtype=np.complex128)
+        grid[self._grid_index] = units.astype(np.float64)
+        sums = np.conj(np.fft.fftn(grid.reshape(self.orders))).ravel()
+        sums[0] = complex(counts.coprime_total())
+        return sums
 
 
 class DirichletCharacter:
@@ -127,6 +184,10 @@ class DirichletCharacter:
         self.is_real = all((2 * t) % o == 0 for t, o in zip(self.exponents, orders))
         self.order = math.lcm(*(o // math.gcd(o, t) for t, o in zip(self.exponents, orders))) \
             if self.exponents else 1
+        # position in characters() order: the C-order flat index over orders
+        self.index = 0
+        for t, o in zip(self.exponents, orders):
+            self.index = self.index * o + t
 
     def value_index(self, n: int) -> int | None:
         """k with chi(n) = exp(2 pi i k / L), or None when chi(n) = 0."""
@@ -139,17 +200,21 @@ class DirichletCharacter:
             k += t * d * wgt
         return k % L
 
+    def value_indices(self) -> np.ndarray:
+        """value_index at every unit residue of the group table.
+
+        Not cached: phi(q) entries per character would add up to phi(q)^2
+        over a cached group, and the product costs microseconds.
+        """
+        g = self.group
+        steps = np.array([t * w for t, w in zip(self.exponents, g._weights)], dtype=np.int64)
+        return (g.dlogs @ steps) % g.exponent
+
     def __call__(self, n: int) -> complex:
         k = self.value_index(n)
         if k is None:
             return 0j
         return complex(self.group.roots[k])
-
-    def conj(self, n: int) -> complex:
-        k = self.value_index(n)
-        if k is None:
-            return 0j
-        return complex(np.conj(self.group.roots[k]))
 
     def __repr__(self):
         return f"DirichletCharacter(q={self.modulus}, exponents={self.exponents})"
@@ -229,16 +294,10 @@ def von_mangoldt_total(table: pr.PrimePowerTable) -> float:
 
 def character_sums_from_residues(counts, chars: list[DirichletCharacter]) -> list[complex]:
     """Evaluate sum_a chi(a) * counts[a] for every chi from one residue vector."""
-    out = []
-    for chi in chars:
-        s = 0j
-        for a, c in enumerate(counts.counts):
-            if c:
-                v = chi(a)
-                if v != 0:
-                    s += v * c
-        out.append(s)
-    return out
+    if not chars:
+        return []
+    sums = chars[0].group.character_sums(counts)
+    return [complex(sums[chi.index]) for chi in chars]
 
 
 def reconstruct_progression(x, table: pr.PrimePowerTable, a: int, q: int) -> complex:
@@ -251,13 +310,8 @@ def reconstruct_progression(x, table: pr.PrimePowerTable, a: int, q: int) -> com
     if math.gcd(a, q) != 1:
         raise DomainError(f"need (a, q) = 1, got a={a}, q={q}")
     counts = count_ultrafriable_residues(x, table, q)
-    chars = enumerate_characters(q)
-    sums = character_sums_from_residues(counts, chars)
-    phi_q = character_group(q).phi_q
-    total = 0j
-    for chi, s in zip(chars, sums):
-        if chi.is_principal:
-            total += s  # = Upsilon_q exactly
-        else:
-            total += chi.conj(a) * s
-    return total / phi_q
+    group = character_group(q)
+    sums = group.character_sums(counts)  # sums[0] = Upsilon_q exactly
+    # value index of chi(a) for every chi, in the same order as the sums
+    ks = group.value_indices_at(a)
+    return complex(np.dot(np.conj(group.roots[ks]), sums)) / group.phi_q

@@ -15,6 +15,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -40,9 +41,14 @@ COLUMNS = [
 EXACT_PRINT_LIMIT = 10**30
 
 
-def parse_x(text: str) -> float:
-    """Parse decimal, scientific, or e^k / ek log-space literals."""
+def parse_x(text: str) -> int | float:
+    """Parse decimal, scientific, or e^k / ek log-space literals.
+
+    A plain integer literal stays an exact int, so x above 2^53 is not rounded.
+    """
     t = text.strip()
+    if re.fullmatch(r"[+-]?\d+", t):
+        return int(t)
     if t.startswith("e^"):
         return math.exp(float(t[2:]))
     if t and t[0] == "e":
@@ -54,7 +60,11 @@ def parse_x(text: str) -> float:
 
 
 def parse_grid(text: str, parser=parse_x, log_spaced: bool = True) -> list:
-    """A comma list, or lo:hi:n expanded log-spaced."""
+    """A comma list, or lo:hi:n expanded log-spaced.
+
+    The endpoints are the parsed lo and hi themselves, not exp(log(lo)),
+    which can fall just below an integer endpoint and change its floor.
+    """
     if ":" in text:
         lo_s, hi_s, n_s = text.split(":")
         lo, hi, n = parser(lo_s), parser(hi_s), int(n_s)
@@ -64,8 +74,10 @@ def parse_grid(text: str, parser=parse_x, log_spaced: bool = True) -> list:
             return [lo]
         if log_spaced:
             llo, lhi = math.log(lo), math.log(hi)
-            return [math.exp(llo + i * (lhi - llo) / (n - 1)) for i in range(n)]
-        return [lo + i * (hi - lo) / (n - 1) for i in range(n)]
+            inner = [math.exp(llo + i * (lhi - llo) / (n - 1)) for i in range(1, n - 1)]
+        else:
+            inner = [lo + i * (hi - lo) / (n - 1) for i in range(1, n - 1)]
+        return [lo, *inner, hi]
     return [parser(p) for p in text.split(",") if p.strip()]
 
 
@@ -366,7 +378,7 @@ def main(argv=None) -> int:
         if args.q is None:
             print("chars needs --q", file=sys.stderr)
             return 2
-        n_chars = len(ch.enumerate_characters(args.q))
+        n_chars = ch.character_group(args.q).phi_q
         specs = [{
             "mode": "chars", "x": args.x, "y": args.y, "q": args.q,
             "char_index": i, "epsilon": args.epsilon, "c1": args.c1,

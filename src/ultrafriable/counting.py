@@ -340,17 +340,11 @@ def count_ultrafriable_residues(x, table: pr.PrimePowerTable, q: int) -> Residue
 def character_sum(x, table: pr.PrimePowerTable, chi) -> complex:
     """sum of chi(n) over y-ultrafriable n <= x.
 
-    The counts are exact; the only rounding is in evaluating the roots of
-    unity chi(a).
+    The counts are exact and are bucketed by chi's value index as integers;
+    the only rounding is in the final sum against the roots of unity.
     """
     counts = count_ultrafriable_residues(x, table, chi.modulus)
-    out = 0j
-    for a, c in enumerate(counts.counts):
-        if c:
-            v = chi(a)
-            if v != 0:
-                out += v * c
-    return out
+    return chi.group.character_sum(counts, chi)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +475,11 @@ def count_friable_progression(x, y: int, a: int, q: int, limit: int = FRIABLE_X_
 # the naive sieve oracle
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=4)
+# the oracle's sieve size; it only grows, so a smaller x slices the last build
+_oracle_cap = 1000
+
+
+@lru_cache(maxsize=1)
 def _oracle_arrays(xmax: int):
     """(largest prime factor, largest maximal prime-power divisor) up to xmax.
 
@@ -518,11 +516,11 @@ def naive_oracle(x, y: int, a: int | None = None, q: int | None = None,
         raise DomainError(f"unknown oracle mode {mode!r}")
     if X == 0:
         return 0
-    # bucket the sieve size so repeated queries share one array build
-    xcap = 1000
-    while xcap < X:
-        xcap *= 4
-    L, M = _oracle_arrays(xcap)
+    # grow the sieve in 4x steps so repeated queries share one array build
+    global _oracle_cap
+    while _oracle_cap < X:
+        _oracle_cap *= 4
+    L, M = _oracle_arrays(_oracle_cap)
     arr = M if mode == "ultrafriable" else L
     mask = arr[1 : X + 1] <= y
     if a is not None:

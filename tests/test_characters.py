@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ultrafriable import (
     DomainError,
@@ -19,7 +21,12 @@ from ultrafriable import (
     solve_beta,
     w_q,
 )
-from ultrafriable.characters import character_group, von_mangoldt_total
+from ultrafriable.characters import (
+    character_group,
+    character_sums_from_residues,
+    von_mangoldt_total,
+)
+from ultrafriable.counting import ResidueCounts
 
 
 def euler_phi(q):
@@ -225,3 +232,79 @@ def test_parseval(table50):
 
 def test_character_group_cached():
     assert character_group(12) is character_group(12)
+
+
+# ---------------------------------------------------------------------------
+# the per-modulus character table against a per-residue loop
+# ---------------------------------------------------------------------------
+
+TABLE_QS = (1, 2, 4, 8, 16, 24, 48, 101, 125, 210, 331, 1000, 1009)
+
+
+def loop_character_sum(counts, chi):
+    """sum_a chi(a) * counts[a], one residue at a time."""
+    L = chi.group.exponent
+    s = 0j
+    for a, c in enumerate(counts.counts):
+        k = chi.value_index(a) if c else None
+        if k is not None:
+            s += c * cmath.exp(2j * math.pi * k / L)
+    return s
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from(TABLE_QS), y=st.sampled_from((10, 30, 50)),
+       x=st.integers(min_value=0, max_value=10**5), pick=st.randoms(use_true_random=False))
+def test_table_sums_match_residue_loop(q, y, x, pick):
+    table = build_table(y)
+    rc = count_ultrafriable_residues(x, table, q)
+    tol = 1e-9 * max(1, rc.total())
+    chars = enumerate_characters(q)
+    sums = character_group(q).character_sums(rc)
+    assert len(sums) == len(chars)
+    for chi in pick.sample(chars, min(len(chars), 12)):
+        want = loop_character_sum(rc, chi)
+        assert abs(character_sum(x, table, chi) - want) <= tol
+        assert abs(sums[chi.index] - want) <= tol
+
+
+@settings(max_examples=15, deadline=None)
+@given(q=st.sampled_from(TABLE_QS), pick=st.randoms(use_true_random=False))
+def test_all_character_sums_in_characters_order(q, pick):
+    chars = enumerate_characters(q)
+    assert [chi.index for chi in chars] == list(range(len(chars)))
+    rc = count_ultrafriable_residues(5000, build_table(30), q)
+    sums = character_group(q).character_sums(rc)
+    assert sums[0] == rc.coprime_total()  # index 0 is the principal character
+    chosen = pick.sample(chars, min(len(chars), 8))
+    got = character_sums_from_residues(rc, chosen)
+    for chi, s in zip(chosen, got):
+        assert abs(s - loop_character_sum(rc, chi)) <= 1e-9 * max(1, rc.total())
+
+
+@settings(max_examples=20, deadline=None)
+@given(q=st.sampled_from((3, 8, 12, 101)),
+       counts=st.lists(st.integers(min_value=0, max_value=2**80), min_size=101, max_size=101))
+def test_sums_exact_beyond_int64(q, counts):
+    rc = ResidueCounts(q, tuple(counts[:q - 1]) + (2**70,))
+    assert rc.total() >= 2**63  # the int64 buckets would overflow
+    group = character_group(q)
+    sums = group.character_sums(rc)
+    assert sums[0] == complex(rc.coprime_total())
+    for chi in group.characters():
+        want = loop_character_sum(rc, chi)
+        tol = 1e-9 * rc.total()
+        assert abs(group.character_sum(rc, chi) - want) <= tol
+        assert abs(sums[chi.index] - want) <= tol
+
+
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from(TABLE_QS), y=st.sampled_from((10, 30, 50)),
+       x=st.integers(min_value=0, max_value=10**5), a=st.integers(min_value=0, max_value=10**4))
+def test_reconstruct_returns_class_count(q, y, x, a):
+    assume(math.gcd(a, q) == 1)
+    table = build_table(y)
+    count = count_ultrafriable_residues(x, table, q)[a]
+    v = reconstruct_progression(x, table, a, q)
+    assert abs(v.real - count) <= 1e-9 * (1 + count)
+    assert abs(v.imag) <= 1e-9 * (1 + count)

@@ -157,3 +157,19 @@ def test_friable_count_variant(capsys):
     _, out = run_cli(["count", "--x", "100", "--y", "3", "--variant", "friable"], capsys)
     row = dict(zip(COLUMNS, out.strip().splitlines()[1].split(",")))
     assert row["exact_value_or_log"] == "20"
+
+
+def test_parse_x_integer_literal_is_exact():
+    x = parse_x("10000000000000000001")
+    assert isinstance(x, int) and x == 10**19 + 1
+    assert parse_x(" -42 ") == -42
+    assert isinstance(parse_x("123.0"), float)
+    assert isinstance(parse_x("1e6"), float)
+
+
+def test_parse_grid_keeps_integer_endpoints():
+    pts = parse_grid("1000:1000000:4")
+    assert pts[0] == 1000 and pts[-1] == 1000000
+    assert pts[1] == pytest.approx(10**4) and pts[2] == pytest.approx(10**5)
+    assert parse_grid("7:343:3", parser=float) == [7.0, pytest.approx(49.0), 343.0]
+    assert parse_grid("10000000000000000001:10000000000000000003:2") == [10**19 + 1, 10**19 + 3]

@@ -190,3 +190,13 @@ def test_domain_errors(table10):
     ctx11 = modulus_context(11, table10)
     with pytest.raises(PreconditionError):
         count_ultrafriable(100, table10, ctx11)
+
+
+def test_oracle_sieve_only_grows():
+    from ultrafriable.counting import _oracle_arrays
+
+    naive_oracle(200_000, 30)
+    misses = _oracle_arrays.cache_info().misses
+    for x in (10, 5_000, 70_000, 200_000):
+        naive_oracle(x, 30, q=7)
+    assert _oracle_arrays.cache_info().misses == misses
