@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from importlib import resources
-from statistics import median
 
 import numpy as np
 
@@ -182,12 +181,13 @@ def calibrate_t3(fast: bool = False) -> dict[str, float]:
         lu4 = math.log(u) ** 4
         inv_y = 1.0 / es.Y_eps(table.y)
         for q in (3, 5, 7, 8, 11):
-            ctx = pr.modulus_context(q, table)
+            # Upsilon_q: the coprime classes of the residue vector the sums use
+            upsilon_q = ct.count_ultrafriable_residues(x, table, q).coprime_total()
             for chi in ch.enumerate_characters(q):
                 if chi.is_principal:
                     continue
                 s = ct.character_sum(x, table, chi)
-                ratio = abs(s) / ct.count_ultrafriable(x, table, ctx)
+                ratio = abs(s) / upsilon_q
                 if ratio <= inv_y:
                     continue
                 c1_min = min(c1_min, -math.log(ratio - inv_y) * (1.0 + lu4) / u)
@@ -231,9 +231,3 @@ def load_constants(path: str | None = None) -> dict[str, float]:
             return parse_constants(f.read())
     ref = resources.files("ultrafriable").joinpath(f"data/{DATA_FILE}")
     return parse_constants(ref.read_text(encoding="utf-8"))
-
-
-def progression_median_dev(x: float, y: int, q: int) -> float:
-    """Median over coprime classes of the equidistribution deviation."""
-    table = pr.build_table(y)
-    return median(_progression_devs(x, table, q))

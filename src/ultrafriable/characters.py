@@ -105,7 +105,11 @@ class CharacterGroup:
         self.exponent = math.lcm(*self.orders) if self.orders else 1
         self.phi_q = math.prod(self.orders) if self.orders else 1
         L = self.exponent
-        self.roots = np.exp(2j * math.pi * np.arange(L) / L)
+        k = np.arange(L)
+        self.roots = np.exp(2j * math.pi * k / L)
+        # quarter turns exactly: exp(i pi) in floating point has imaginary part 1.2e-16
+        quarter = (4 * k) % L == 0
+        self.roots[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // L]
         # exponent index of n: sum over generators of t_i * dlog_i(n) * (L / o_i)
         self._weights = tuple(L // o for o in self.orders)
         # the unit table: residues coprime to q and their generator exponents

@@ -427,10 +427,13 @@ def t3_bound(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext, chi,
     """Evaluate the nonprincipal character-sum bound for theta in {0, 1}.
 
     Pairs exp(-c1 u / (1 + theta (log u)^4)) + 1/Y_eps with the exact ratio
-    |sum chi(n)| / Upsilon_q from the residue vector.
+    |sum chi(n)| / Upsilon_q, both from the one cached residue vector: its
+    coprime classes add up to Upsilon_q.
     """
     if chi.is_principal:
         raise DomainError("the character-sum bound concerns nonprincipal characters")
+    if chi.modulus != ctx.q:
+        raise DomainError(f"the character is mod {chi.modulus}, the context mod {ctx.q}")
     regime = pr.classify_regime(x, table, epsilon)
     _require_small_y(regime, "the character-sum bound")
     u = regime.u
@@ -438,8 +441,8 @@ def t3_bound(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext, chi,
     inv_y = 1.0 / Y_eps(table.y, epsilon)
     b0 = math.exp(-c1 * u) + inv_y
     b1 = math.exp(-c1 * u / (1.0 + lu4)) + inv_y
-    s = ct.character_sum(x, table, chi)
     ctx.require_p_plus_le_y()
-    uq = ct.count_ultrafriable(x, table, ctx)
+    s = ct.character_sum(x, table, chi)
+    uq = ct.count_ultrafriable_residues(x, table, ctx.q).coprime_total()
     return T3Diagnostic(bound_theta0=b0, bound_theta1=b1,
                         exact_ratio=abs(s) / uq, u=u)

@@ -308,3 +308,19 @@ def test_reconstruct_returns_class_count(q, y, x, a):
     v = reconstruct_progression(x, table, a, q)
     assert abs(v.real - count) <= 1e-9 * (1 + count)
     assert abs(v.imag) <= 1e-9 * (1 + count)
+
+
+def test_roots_exact_at_quarter_turns():
+    for q in (3, 5, 8, 13, 16, 101):
+        group = character_group(q)
+        L = group.exponent
+        for k, want in enumerate((1, 1j, -1, -1j)):
+            if (k * L) % 4 == 0:
+                assert group.roots[k * L // 4] == want
+
+
+def test_real_character_sum_has_zero_imaginary_part():
+    rc = ResidueCounts(3, (0, 2**80 + 7, 2**80))
+    chi = [c for c in enumerate_characters(3) if not c.is_principal][0]
+    assert chi.is_real
+    assert chi.group.character_sum(rc, chi).imag == 0.0

@@ -1,8 +1,12 @@
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultrafriable import (
     DomainError,
@@ -21,6 +25,7 @@ from ultrafriable import (
     naive_oracle,
     tau_N,
 )
+from ultrafriable.counting import LIST_CAP
 from conftest import divisors_of
 
 DIV2520 = divisors_of(2520)
@@ -200,3 +205,100 @@ def test_oracle_sieve_only_grows():
     for x in (10, 5_000, 70_000, 200_000):
         naive_oracle(x, 30, q=7)
     assert _oracle_arrays.cache_info().misses == misses
+
+
+# ---------------------------------------------------------------------------
+# the meet-in-the-middle engine: anchors computed with the former pruned walk
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("y, q, lx, want", [
+    (200, 1, 30, 597446352),
+    (200, 6, 24, 5149275),
+    (150, 2, 27, 14724237),
+    (100, 1, 40, 147708272),
+    (100, 1, 45, 273171435),  # above 2^63: split by the largest prime power
+])
+def test_plain_count_anchors(y, q, lx, want):
+    t = build_table(y)
+    x = int(math.exp(lx))
+    assert count_ultrafriable(x, t, modulus_context(q, t)) == want
+
+
+def test_residue_count_anchors(table100):
+    x = int(math.exp(30))
+    rc = count_ultrafriable_residues(x, table100, 210)
+    assert rc[11] == 6469 and rc.coprime_total() == 308755
+    rc = count_ultrafriable_residues(x, table100, 7)
+    assert rc[3] == 1740080 and rc.coprime_total() == 10440546
+    assert rc.total() == 20666615
+
+
+def test_residue_bounds_up_to_int64(table100):
+    x = 2**63 - 1
+    rc = count_ultrafriable_residues(x, table100, 7)
+    assert rc.total() == count_ultrafriable(x, table100)
+    assert rc.coprime_total() == count_ultrafriable(x, table100, modulus_context(7, table100))
+    with pytest.raises(ResourceError):
+        count_ultrafriable_residues(2**63, table100, 7)
+
+
+def test_oversized_list_raises_before_allocating():
+    t = build_table(500)
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ResourceError):
+            count_ultrafriable(int(math.exp(40)), t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 10
+    assert peak < LIST_CAP * 8 // 2  # half of one capped int64 list
+
+
+@settings(max_examples=40, deadline=None)
+@given(y=st.integers(min_value=2, max_value=200), x=st.integers(min_value=0, max_value=10**6),
+       q=st.sampled_from((1, 2, 3, 4, 6, 7, 10, 12, 30)), a=st.integers(min_value=0, max_value=29))
+def test_engine_matches_oracle(y, x, q, a):
+    t = build_table(y)
+    assert count_ultrafriable(x, t) == naive_oracle(x, y)
+    assert count_ultrafriable_residues(x, t, q)[a] == naive_oracle(x, y, a=a, q=q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(y=st.integers(min_value=2, max_value=60), q=st.sampled_from((1, 2, 6, 7, 30, 35)),
+       frac=st.floats(min_value=0, max_value=1))
+def test_divisor_symmetry_property(y, q, frac):
+    t = build_table(y)
+    ctx = modulus_context(q, t)
+    if not ctx.p_plus_le_y:
+        return
+    N, tau = N_q(t, ctx), tau_N(t, ctx)
+    x = max(1, min(N, round(N ** frac)))
+    assert count_ultrafriable(x, t, ctx) + count_ultrafriable_below(N, t, ctx, den=x) == tau
+
+
+@settings(max_examples=10, deadline=None)
+@given(y=st.integers(min_value=90, max_value=110), lx=st.floats(min_value=43.7, max_value=46))
+def test_bounds_above_int64_match_powers_of_two_split(y, lx):
+    # the engine splits off the largest prime power; splitting off 2^e instead
+    # is an independent route to the same count
+    t = build_table(y)
+    x = int(math.exp(lx))
+    assert x >= 2**63
+    odd = modulus_context(2, t)
+    assert count_ultrafriable(x, t) == \
+        sum(count_ultrafriable(x // 2**e, t, odd) for e in range(t.nu[0] + 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(y=st.integers(min_value=2, max_value=150), lx=st.floats(min_value=0, max_value=30),
+       q=st.sampled_from((1, 2, 6, 7, 30, 49, 210, 1009)))
+def test_classes_sum_to_plain_and_coprime_counts(y, lx, q):
+    t = build_table(y)
+    x = int(math.exp(lx))
+    rc = count_ultrafriable_residues(x, t, q)
+    assert rc.total() == count_ultrafriable(x, t)
+    ctx = modulus_context(q, t)
+    if ctx.p_plus_le_y:
+        assert rc.coprime_total() == count_ultrafriable(x, t, ctx)

@@ -8,6 +8,7 @@ from ultrafriable import (
     RegimeError,
     UnsupportedCaseError,
     build_table,
+    character_sum,
     compare,
     count_ultrafriable,
     enumerate_characters,
@@ -274,6 +275,21 @@ def test_t3_rejects_principal(table100):
     chi0 = [c for c in enumerate_characters(5) if c.is_principal][0]
     with pytest.raises(DomainError):
         t3_bound(math.exp(30), table100, ctx, chi0)
+
+
+def test_t3_rejects_character_of_another_modulus(table100):
+    chi = [c for c in enumerate_characters(5) if not c.is_principal][0]
+    with pytest.raises(DomainError):
+        t3_bound(math.exp(30), table100, modulus_context(7, table100), chi)
+
+
+def test_t3_ratio_uses_coprime_classes_of_residue_vector(table100):
+    x = math.exp(30)
+    ctx = modulus_context(7, table100)
+    chi = [c for c in enumerate_characters(7) if not c.is_principal][0]
+    d = t3_bound(x, table100, ctx, chi)
+    upsilon_q = count_ultrafriable(x, table100, ctx)
+    assert d.exact_ratio == abs(character_sum(x, table100, chi)) / upsilon_q
 
 
 def test_t3_bound_ordering_and_floor(table100):
