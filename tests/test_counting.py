@@ -302,3 +302,13 @@ def test_classes_sum_to_plain_and_coprime_counts(y, lx, q):
     ctx = modulus_context(q, t)
     if ctx.p_plus_le_y:
         assert rc.coprime_total() == count_ultrafriable(x, t, ctx)
+
+
+@pytest.mark.parametrize("s", [2**3 * 7 * 11, 2**2 * 11 * 19, 3**2 * 5 * 13, 3 * 13 * 17])
+def test_counts_at_squares_of_half_divisors(table100, s):
+    # s = isqrt(x) is itself an entry of one half's list, the boundary
+    # between the pairs searched from either side
+    x = s * s
+    assert count_ultrafriable(x, table100) == naive_oracle(x, 100)
+    rc = count_ultrafriable_residues(x, table100, 7)
+    assert rc.counts == tuple(naive_oracle(x, 100, a=a, q=7) for a in range(7))
