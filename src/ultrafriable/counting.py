@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -330,37 +329,31 @@ class ResidueDivisorCounter(_DivisorRows):
 
 
 # ---------------------------------------------------------------------------
-# engine caches (tables are deterministic per y, so keying on y is sound)
+# engine caches (tables are deterministic per y, so the engines are keyed on y
+# and built from build_table(y))
 # ---------------------------------------------------------------------------
 
-_counter_cache: OrderedDict = OrderedDict()
-_residue_cache: OrderedDict = OrderedDict()
-_residue_vec_cache: OrderedDict = OrderedDict()
+@lru_cache(maxsize=48)
+def _counter(y: int, q_primes: tuple) -> DivisorCounter:
+    return DivisorCounter(pr.build_table(y), q_primes)
 
 
-def _cache_get(cache: OrderedDict, key, builder, maxsize: int):
-    hit = cache.get(key)
-    if hit is None:
-        hit = builder()
-        cache[key] = hit
-        if len(cache) > maxsize:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return hit
+@lru_cache(maxsize=32)
+def _residue_counter(y: int, q: int) -> ResidueDivisorCounter:
+    return ResidueDivisorCounter(pr.build_table(y), q)
+
+
+@lru_cache(maxsize=128)
+def _residue_vector(bound: int, y: int, q: int) -> ResidueCounts:
+    return _residue_counter(y, q).count_le(bound)
 
 
 def get_counter(table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None) -> DivisorCounter:
-    qp = ctx.prime_divisors if ctx is not None else ()
-    return _cache_get(
-        _counter_cache, (table.y, qp), lambda: DivisorCounter(table, qp), 48
-    )
+    return _counter(table.y, ctx.prime_divisors if ctx is not None else ())
 
 
 def get_residue_counter(table: pr.PrimePowerTable, q: int) -> ResidueDivisorCounter:
-    return _cache_get(
-        _residue_cache, (table.y, q), lambda: ResidueDivisorCounter(table, q), 32
-    )
+    return _residue_counter(table.y, q)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +394,7 @@ def count_ultrafriable_residues(x, table: pr.PrimePowerTable, q: int) -> Residue
     bound = _floor_bound(x)
     if bound < 0:
         raise DomainError(f"need x >= 0, got {x}")
-    return _cache_get(
-        _residue_vec_cache,
-        (bound, table.y, q),
-        lambda: get_residue_counter(table, q).count_le(bound),
-        128,
-    )
+    return _residue_vector(bound, table.y, q)
 
 
 def character_sum(x, table: pr.PrimePowerTable, chi) -> complex:
@@ -593,14 +581,15 @@ def naive_oracle(x, y: int, a: int | None = None, q: int | None = None,
     while _oracle_cap < X:
         _oracle_cap *= 4
     L, M = _oracle_arrays(_oracle_cap)
-    arr = M if mode == "ultrafriable" else L
-    mask = arr[1 : X + 1] <= y
+    arr = (M if mode == "ultrafriable" else L)[: X + 1]  # arr[n] for n = 0..X
     if a is not None:
         if q is None or q < 1:
             raise DomainError("a requires a modulus q >= 1")
-        ns = np.arange(1, X + 1, dtype=np.int64)
-        mask = mask & (ns % q == a % q)
-    elif q is not None and q > 1:
-        ns = np.arange(1, X + 1, dtype=np.int64)
-        mask = mask & (np.gcd(ns, q) == 1)
+        # the class's n in 1..X: a % q, a % q + q, ..., starting at q when a % q = 0
+        return int(np.count_nonzero(arr[a % q or q :: q] <= y))
+    mask = arr <= y
+    mask[0] = False
+    if q is not None and q > 1:
+        for p in pr.factorize(q):
+            mask[::p] = False
     return int(np.count_nonzero(mask))

@@ -16,7 +16,7 @@ level of asymptotics, which isolates the statement under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import counting as ct
 from . import primes as pr
@@ -70,16 +70,20 @@ def _delta_branch_small(lx: float, ly: float, theta: float, eta: float) -> float
 
 
 def _delta_branch_large(u: float, theta: float) -> float:
-    # theta (u log 2u)^theta / (1 + theta log 2u)
-    if u <= 0:
+    # theta (u log 2u)^theta / (1 + theta log 2u); undefined (nan) where
+    # u log 2u < 0, i.e. u < 1/2, as a fractional power of it is not real
+    if u < 0.5:
         return math.nan
     l2u = math.log(2.0 * u)
     return theta * (u * l2u) ** theta / (1.0 + theta * l2u)
 
 
 def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
-                 epsilon: float = DEFAULT_EPSILON, stated_bound: float = math.nan) -> ErrorBudget:
+                 epsilon: float = DEFAULT_EPSILON) -> ErrorBudget:
     """Delta_q, D_q, C_q and friends for (x, y, q).
+
+    The stated bound is left at nan; each estimator attaches its own with
+    dataclasses.replace.
 
     Branch rule: the two Delta_q expressions overlap around y = (log x)^2;
     the first (small-y) branch is selected iff psi(y) <= (log x)^2 and the
@@ -107,7 +111,7 @@ def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
         delta_q_alt=alt,
         dd_q=min(float(omega), delta) if delta == delta else float(omega),
         cc_q=min(float(omega), delta * delta) if delta == delta else float(omega),
-        stated_bound=stated_bound,
+        stated_bound=math.nan,
         regime=regime,
     )
 
@@ -183,36 +187,9 @@ def _require_large_y(regime: pr.RegimeTag, what: str):
 
 def estimate_upsilon(x: float, table: pr.PrimePowerTable,
                      epsilon: float = DEFAULT_EPSILON) -> EstimateBreakdown:
-    """Saddle main term for the global count: x^beta Z(beta, y) G(beta sqrt(sigma2)).
-
-    Requires the saddle domain psi(y) > 2 log x; the upper regime bound
-    psi(y) << (log x)^3 is recorded as a flag, not enforced.
-    """
-    ctx1 = pr.modulus_context(1, table)
-    bud = error_budget(x, table, ctx1, epsilon)
-    _require_small_y(bud.regime, "the global saddle estimate")
-    lx = math.log(x)
-    res = sd.beta_cached(lx, table.y)
-    beta, s2 = res.sigma, res.sigma_j[2]
-    log_z = sd.log_Z_q(beta, table)
-    log_g = math.log(sd.gaussian_G(beta * math.sqrt(s2)))
-    bud = error_budget(x, table, ctx1, epsilon, stated_bound=1.0 / bud.u)
-    factors = {
-        "x_pow_beta": beta * lx,
-        "Z_q_beta": log_z,
-        "G_factor": log_g,
-        "g_q_beta": 0.0,
-        "correction_T1iii": 0.0,
-    }
-    return EstimateBreakdown(
-        theorem_tag="T1i",
-        log_main=beta * lx + log_z + log_g,
-        factors=factors,
-        budget=bud,
-        beta=beta,
-        sigma2=s2,
-        flags={"psi_below_cube": table.psi_y <= lx**3},
-    )
+    """Saddle main term for the global count, x^beta Z(beta, y) G(beta sqrt(sigma2)):
+    the T1i estimate at q = 1, whose budget is 1/u since D_1 = 0."""
+    return estimate_upsilon_q(x, table, pr.modulus_context(1, table), "T1i", epsilon)
 
 
 def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
@@ -228,20 +205,22 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
                eta*omega + log q/(sqrt(u) log y) + omega^2/u;
       REMC  -- the same main term in the complementary large-y domain,
                budget q u log 2u/(phi(q) sqrt(y) log y) + 1/u.
+    The upper regime bound psi(y) << (log x)^3 and omega(q) <= sqrt(y)/log y
+    are recorded as flags, not enforced.
     """
     if variant not in VARIANTS_UPSILON_Q:
         raise DomainError(f"unknown variant {variant!r}")
     ctx.require_p_plus_le_y()
-    bud0 = error_budget(x, table, pr.modulus_context(1, table), epsilon)
+    bud = error_budget(x, table, ctx, epsilon)
     lx = math.log(x)
     ly = math.log(table.y)
-    u, eta = bud0.u, bud0.eta
+    u, eta = bud.u, bud.eta
     omega = ctx.omega_q
 
     if variant == "REMC":
-        _require_large_y(bud0.regime, "REMC")
+        _require_large_y(bud.regime, "REMC")
     else:
-        _require_small_y(bud0.regime, variant)
+        _require_small_y(bud.regime, variant)
     if variant == "T1ii" and eta > 0.5:
         raise DomainError(f"T1ii needs eta <= 1/2, got eta={eta:.4g}")
     if variant == "T1iii" and eta * math.sqrt(u) >= eta_sqrt_u_max:
@@ -255,7 +234,6 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
     log_g = math.log(sd.gaussian_G(beta * math.sqrt(s2)))
     gq = sd.arithmetic_factors(beta, ctx, table).g_q
 
-    bud = error_budget(x, table, ctx, epsilon)
     dq = bud.dd_q
     if variant == "T1i":
         stated = (1.0 + dq * dq) / u + dq * (1.0 + eta) / (math.sqrt(u) + eta * u)
@@ -265,7 +243,6 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
         stated = eta * omega + math.log(ctx.q) / (math.sqrt(u) * ly) + omega * omega / u
     else:  # REMC
         stated = (ctx.q * u * math.log(2.0 * u)) / (ctx.phi_q * math.sqrt(table.y) * ly) + 1.0 / u
-    bud = error_budget(x, table, ctx, epsilon, stated_bound=stated)
 
     correction = math.log1p(omega / math.sqrt(math.pi * u)) if variant == "T1iii" else 0.0
     factors = {
@@ -275,12 +252,13 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
         "g_q_beta": math.log(gq),
         "correction_T1iii": correction,
     }
-    flags = {"omega_small_vs_sqrt_y": omega <= math.sqrt(table.y) / ly}
+    flags = {"psi_below_cube": table.psi_y <= lx**3,
+             "omega_small_vs_sqrt_y": omega <= math.sqrt(table.y) / ly}
     return EstimateBreakdown(
         theorem_tag=variant,
         log_main=beta * lx + log_zq + log_g + correction,
         factors=factors,
-        budget=bud,
+        budget=replace(bud, stated_bound=stated),
         beta=beta,
         sigma2=s2,
         flags=flags,
@@ -301,7 +279,7 @@ def estimate_t2(x: float, y: int, q: int, epsilon: float = DEFAULT_EPSILON) -> E
     u = regime.u
     psi_q_exact = ct.count_friable(x, y, q)
     stated = q * u * math.log(2.0 * u) / (ctx.phi_q * math.sqrt(y) * math.log(y))
-    bud = error_budget(x, table, ctx, epsilon, stated_bound=stated)
+    bud = replace(error_budget(x, table, ctx, epsilon), stated_bound=stated)
     return EstimateBreakdown(
         theorem_tag="T2",
         log_main=math.log(psi_q_exact),
@@ -342,7 +320,7 @@ def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCon
         stated = math.log(ctx.q) / (u**c2 * math.log(y)) + 1.0 / math.log(y)
         q_ok = ctx.q <= math.sqrt(y)
     upsilon_q = ct.count_ultrafriable(x, table, ctx)
-    bud = error_budget(x, table, ctx, epsilon, stated_bound=stated)
+    bud = replace(error_budget(x, table, ctx, epsilon), stated_bound=stated)
     beta = s2 = None
     if regime.small_y:
         res = sd.beta_cached(math.log(x), y)
@@ -392,7 +370,7 @@ def estimate_noncoprime(x: float, table: pr.PrimePowerTable, q: int, a: int,
     u = regime.u
     lu = math.log(max(u, 1.0 + 1e-12))
     stated = math.exp(-c1 * u / lu**4) + 1.0 / Y_eps(table.y, epsilon)
-    bud = error_budget(x, table, pr.modulus_context(q, table), epsilon, stated_bound=stated)
+    bud = replace(error_budget(x, table, pr.modulus_context(q, table), epsilon), stated_bound=stated)
     return EstimateBreakdown(
         theorem_tag="R6",
         log_main=math.log(h_d) + math.log(ups) - math.log(ctx_qd.phi_q),

@@ -13,12 +13,12 @@ is strictly decreasing from psi(y)/2 at 0+ to 0, so the saddle equation
 phi_1(beta, y) = log x has a unique root whenever psi(y) > 2 log x.  The
 friable analogue alpha solves sum_p log p/(p^alpha - 1) = log x.
 
-Numerics: each summand is a difference of two terms that both blow up
-like 1/s as s -> 0 while the difference stays bounded, so below a
-crossover the code switches to a pole-free Bernoulli expansion of
-w/(e^w - 1).  The same expansion drives the higher log-derivatives
-phi_j; their double series over (p, k) is summed in closed form per
-prime (geometric k-sums), which equals the fully converged series.
+Numerics: phi_1 and the higher log-derivatives phi_j share one code path.
+Their double series over (p, k) is summed in closed form per prime
+(geometric k-sums), which equals the fully converged series.  Each summand
+is a difference of two terms that both blow up like 1/s^j as s -> 0 while
+the difference stays bounded, so below a crossover the code switches to a
+pole-free Bernoulli expansion of w/(e^w - 1), differentiated j - 1 times.
 """
 
 from __future__ import annotations
@@ -50,12 +50,12 @@ _M1_TERMS: list[tuple[int, Fraction]] = [
 ]
 
 
-def _dj_coeffs(j: int) -> list[tuple[int, float, int]]:
-    """Series data for D_j(w, m) = M_j(w) - m^j M_j(m w), m = nu_p + 1.
+def _dj_coeffs(j: int) -> list[tuple[int, float]]:
+    """(exponent, coefficient) pairs of R_j, the regular part of M_j.
 
-    M_j = (-d/dw)^{j-1} M_1; the 1/w^j poles cancel exactly in D_j, and a
-    term a*w^e of M_1 contributes  a * (-1)^{j-1} e(e-1)...(e-j+2) *
-    w^{e-j+1} * (1 - m^{e+1}).
+    M_j = (-d/dw)^{j-1} M_1 = (j-1)!/w^j + R_j(w), and a term a*w^e of M_1
+    gives the term a * (-1)^{j-1} e(e-1)...(e-j+2) * w^{e-j+1} of R_j.  The
+    poles cancel in D_j(w, m) = M_j(w) - m^j M_j(m w) = R_j(w) - m^j R_j(m w).
     """
     out = []
     for e, a in _M1_TERMS:
@@ -64,20 +64,30 @@ def _dj_coeffs(j: int) -> list[tuple[int, float, int]]:
             fall *= e - t
         if fall == 0:
             continue
-        c = float(a * fall * (-1) ** (j - 1))
-        out.append((e - j + 1, c, e + 1))
+        out.append((e - j + 1, float(a * fall * (-1) ** (j - 1))))
     return out
 
 
 _DJ = {j: _dj_coeffs(j) for j in (1, 2, 3, 4)}
 
 
+def _rj(j: int, z: np.ndarray) -> np.ndarray:
+    """R_j(z) by Horner's rule; consecutive exponents in _DJ[j] differ by 1 or 2."""
+    terms = _DJ[j]
+    zpow = {1: z, 2: z * z}
+    p, r = terms[-1]
+    for pn, c in reversed(terms[:-1]):
+        r = c + zpow[p - pn] * r
+        p = pn
+    return r * zpow[p] if p else r
+
+
 def _mj_closed(j: int, w: np.ndarray) -> np.ndarray:
     """M_j(w) = sum_{k>=1} k^{j-1} e^{-kw}, via the geometric closed forms."""
+    if j == 1:
+        return 1.0 / np.expm1(w)
     t = np.exp(-w)
     om = -np.expm1(-w)  # 1 - e^{-w}
-    if j == 1:
-        return t / om
     if j == 2:
         return t / om**2
     if j == 3:
@@ -91,17 +101,14 @@ def _dj(j: int, w: np.ndarray, m: np.ndarray) -> np.ndarray:
     """D_j(w, m) = M_j(w) - m^j M_j(m w), stable down to w -> 0."""
     W = m * w
     small = W <= _SERIES_CUT
+    if not small.any():
+        return _mj_closed(j, w) - m**j * _mj_closed(j, W)
     out = np.empty_like(w)
-    if np.any(small):
-        ws, ms = w[small], m[small]
-        acc = np.zeros_like(ws)
-        for pw, c, me in _DJ[j]:
-            acc += c * ws**pw * (1.0 - ms**me)
-        out[small] = acc
-    if not np.all(small):
-        big = ~small
-        wb, mb = w[big], m[big]
-        out[big] = _mj_closed(j, wb) - mb**j * _mj_closed(j, mb * wb)
+    big = ~small
+    out[big] = _dj(j, w[big], m[big])  # no entry left in the series branch
+    ws = w[small]
+    r = _rj(j, np.concatenate((ws, W[small])))
+    out[small] = r[:len(ws)] - m[small] ** j * r[len(ws):]
     return out
 
 
@@ -113,39 +120,13 @@ def _table_arrays(table: pr.PrimePowerTable, ctx: pr.ModulusContext | None):
 
 
 # ---------------------------------------------------------------------------
-# phi_1 (closed form) and phi_j (summed double series)
+# phi_j, j = 1..4 (summed double series)
 # ---------------------------------------------------------------------------
 
 def phi1(sigma: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None) -> float:
-    """Closed-form phi_1: sum of t/(e^{w}-1) - (nu+1)t/(e^{(nu+1)w}-1), w = sigma t.
-
-    Guarded against the 1/sigma cancellation by the Bernoulli expansion
-    when (nu+1) * sigma * log p is small.
-    """
-    if sigma <= 0:
-        raise DomainError(f"need sigma > 0, got {sigma}")
-    t, nu = _table_arrays(table, ctx)
-    w = sigma * t
-    m = nu + 1.0
-    W = m * w
-    small = W <= _SERIES_CUT
-    terms = np.empty_like(w)
-    if np.any(small):
-        ws, ms = w[small], m[small]
-        # nu/2 - ((nu+1)^2-1) w/12 + ((nu+1)^4-1) w^3/720 - ... (poles cancel)
-        acc = (ms - 1.0) / 2.0
-        acc -= (ms**2 - 1.0) * ws / 12.0
-        acc += (ms**4 - 1.0) * ws**3 / 720.0
-        acc -= (ms**6 - 1.0) * ws**5 / 30240.0
-        acc += (ms**8 - 1.0) * ws**7 / 1209600.0
-        acc -= (ms**10 - 1.0) * ws**9 / 47900160.0
-        acc += (ms**12 - 1.0) * ws**11 * 691.0 / 1307674368000.0
-        terms[small] = acc
-    if not np.all(small):
-        big = ~small
-        wb, mb = w[big], m[big]
-        terms[big] = 1.0 / np.expm1(wb) - mb / np.expm1(mb * wb)
-    return float(np.dot(t, terms))
+    """phi_1(sigma, y) = sum of t/(e^w - 1) - (nu+1) t/(e^{(nu+1)w} - 1), w = sigma t;
+    the same series as phi_j_q(1, sigma, table, ctx)."""
+    return phi_j_q(1, sigma, table, ctx)
 
 
 def phi1_limit_at_zero(table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None) -> float:
@@ -170,7 +151,7 @@ def phi_j_q(j: int, s: float, table: pr.PrimePowerTable,
     t, nu = _table_arrays(table, ctx)
     w = s * t
     m = nu + 1.0
-    return float(np.dot(t**j, _dj(j, w, m)))
+    return float(np.dot(t if j == 1 else t**j, _dj(j, w, m)))
 
 
 def log_Z_q(s, table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None):
@@ -287,8 +268,7 @@ def solve_beta(x: float, table: pr.PrimePowerTable) -> SaddleResult:
 
 
 def _alpha_sum(sigma: float, table: pr.PrimePowerTable) -> float:
-    w = sigma * table.logp_arr
-    return float(np.dot(table.logp_arr, 1.0 / np.expm1(w)))
+    return float(np.dot(table.logp_arr, _mj_closed(1, sigma * table.logp_arr)))
 
 
 def _alpha_sum_deriv(sigma: float, table: pr.PrimePowerTable) -> float:

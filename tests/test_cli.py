@@ -173,3 +173,16 @@ def test_parse_grid_keeps_integer_endpoints():
     assert pts[1] == pytest.approx(10**4) and pts[2] == pytest.approx(10**5)
     assert parse_grid("7:343:3", parser=float) == [7.0, pytest.approx(49.0), 343.0]
     assert parse_grid("10000000000000000001:10000000000000000003:2") == [10**19 + 1, 10**19 + 3]
+
+
+def test_estimate_row_below_sqrt_y(capsys):
+    # x < sqrt(y), so u < 1/2 and u log 2u < 0: the large-y Delta_q branch is undefined
+    code, out = run_cli(
+        ["estimate", "--x", "10", "--y", "1000", "--q", "3", "--a", "1", "--variant", "T5"], capsys)
+    assert code == 0
+    row = dict(zip(COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert row["status"] == "ok"
+    assert float(row["u"]) < 0.5
+    assert math.isnan(float(row["delta_q"]))
+    for col in ("budget", "u", "eta", "d_q", "c_q"):
+        assert math.isfinite(float(row[col])), col

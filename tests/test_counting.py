@@ -26,6 +26,7 @@ from ultrafriable import (
     tau_N,
 )
 from ultrafriable.counting import LIST_CAP
+from ultrafriable.primes import factorize
 from conftest import divisors_of
 
 DIV2520 = divisors_of(2520)
@@ -205,6 +206,40 @@ def test_oracle_sieve_only_grows():
     for x in (10, 5_000, 70_000, 200_000):
         naive_oracle(x, 30, q=7)
     assert _oracle_arrays.cache_info().misses == misses
+
+
+def test_oracle_against_per_n_loop():
+    """naive_oracle's sliced sieve against factorising every n <= 2000."""
+    checkpoints = {1, 2, 6, 29, 30, 31, 997, 1999, 2000}
+    facs = [None] + [factorize(n) for n in range(1, 2001)]
+    for y in (2, 7, 30, 100):
+        for mode in ("ultrafriable", "friable"):
+            for q in (1, 2, 6, 7, 30):
+                classes = [0] * q
+                coprime = 0
+                for n in range(1, 2001):
+                    f = facs[n]
+                    big = max((p ** e for p, e in f.items()), default=1) if mode == "ultrafriable" \
+                        else max(f, default=1)
+                    if big <= y:
+                        classes[n % q] += 1
+                        coprime += math.gcd(n, q) == 1
+                    if n in checkpoints:
+                        assert naive_oracle(n, y, q=q, mode=mode) == coprime, (n, y, q, mode)
+                        for a in range(q):
+                            for a_rep in (a, a - q, a + 2 * q):
+                                assert naive_oracle(n, y, a=a_rep, q=q, mode=mode) == classes[a], \
+                                    (n, y, q, a_rep, mode)
+
+
+def test_engine_caches_are_shared(table100):
+    from ultrafriable.counting import _counter, get_counter
+
+    ctx = modulus_context(6, table100)
+    engine = get_counter(table100, ctx)
+    hits = _counter.cache_info().hits
+    assert get_counter(build_table(100), modulus_context(6, table100)) is engine
+    assert _counter.cache_info().hits == hits + 1
 
 
 # ---------------------------------------------------------------------------

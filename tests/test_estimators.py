@@ -124,6 +124,14 @@ def test_estimate_upsilon_band_frozen(table100):
     assert abs(rec.rel_error) <= CONSTS["t1_q1_u_C"] / est.budget.u
 
 
+def test_estimate_upsilon_is_t1i_at_q1(table100):
+    est = estimate_upsilon(math.exp(25), table100)
+    assert est.theorem_tag == "T1i"
+    assert est.budget.stated_bound == 1.0 / est.budget.u  # D_1 = 0
+    assert est.factors["g_q_beta"] == 0.0
+    assert set(est.flags) == {"psi_below_cube", "omega_small_vs_sqrt_y"}
+
+
 def test_upsilon_q_reduces_at_q1(table100):
     x = math.exp(25)
     ctx1 = modulus_context(1, table100)

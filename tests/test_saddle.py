@@ -174,6 +174,31 @@ def test_phi_j1_matches_closed_form_with_q(table100):
         assert phi_j_q(1, s, table100, ctx) == pytest.approx(phi1(s, table100, ctx), rel=1e-12)
 
 
+def test_phi_j_against_polylog():
+    """phi_{j,q}(s) = sum (log p)^j [Li_{1-j}(p^-s) - m^j Li_{1-j}(p^-ms)], m = nu_p + 1.
+
+    An mpmath reference at 50 digits, on both sides of the series crossover
+    (m s log p = 1/2); the tolerances sit a few times above the worst
+    errors seen (8e-16, 8e-14, 4.8e-11, 5.4e-10 for j = 1..4, all at s = 0.05).
+    """
+    tol = {1: 4e-15, 2: 4e-13, 3: 2.5e-10, 4: 2.5e-9}
+    with mp.workdps(50):
+        for y in (10, 100, 300):
+            t = build_table(y)
+            for s in (1e-4, 1e-2, 0.05, 0.2, 0.5, 1.0, 4.0):
+                for j in (1, 2, 3, 4):
+                    sm = mp.mpf(s)
+                    terms = {
+                        p: mp.log(p) ** j * (mp.polylog(1 - j, mp.power(p, -sm))
+                                             - (nu + 1) ** j * mp.polylog(1 - j, mp.power(p, -(nu + 1) * sm)))
+                        for p, nu, _ in t.entries
+                    }
+                    for q in (1, 30):
+                        want = mp.fsum(v for p, v in terms.items() if q % p)
+                        got = phi_j_q(j, s, t, modulus_context(q, t))
+                        assert abs(got - want) <= tol[j] * abs(want), (j, y, q, s)
+
+
 def test_sigma2_positive_and_q_restricted(table100):
     res = solve_beta(10**6, table100)
     b = res.sigma
