@@ -18,7 +18,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from . import calibration as cal
@@ -362,6 +361,9 @@ def _compute_all(specs: list[dict], jobs: int) -> list[dict]:
         jobs = os.cpu_count() or 1
     if jobs == 1 or len(specs) <= 1:
         return [compute_row(s) for s in specs]
+    # loads multiprocessing and socket, which only a parallel sweep needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(compute_row, specs))
 
@@ -378,7 +380,11 @@ def main(argv=None) -> int:
         if args.q is None:
             print("chars needs --q", file=sys.stderr)
             return 2
-        n_chars = ch.character_group(args.q).phi_q
+        try:
+            n_chars = ch.character_group(args.q).phi_q
+        except UltrafriableError as exc:
+            print(f"chars: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
         specs = [{
             "mode": "chars", "x": args.x, "y": args.y, "q": args.q,
             "char_index": i, "epsilon": args.epsilon, "c1": args.c1,

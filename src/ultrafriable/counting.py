@@ -485,6 +485,8 @@ def count_friable_progression(x, y: int, a: int, q: int, limit: int = FRIABLE_X_
 
     Residue-tracked version of the friable recursion: the state is a full
     vector of class counts, rotated by p mod q when a prime p is absorbed.
+    Each memo entry is a q-long list, so q > RESIDUE_Q_BOUND raises
+    ResourceError.
     """
     X = _floor_bound(x)
     if X < 0:
@@ -493,6 +495,8 @@ def count_friable_progression(x, y: int, a: int, q: int, limit: int = FRIABLE_X_
         raise ResourceError(f"x={x} exceeds the exact friable-count bound {limit}")
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
+    if q > RESIDUE_Q_BOUND:
+        raise ResourceError(f"q={q} exceeds the residue-vector bound {RESIDUE_Q_BOUND}")
     if q == 1:
         return count_friable(X, y, 1, limit)
     if X == 0:
@@ -576,10 +580,11 @@ def naive_oracle(x, y: int, a: int | None = None, q: int | None = None,
         raise DomainError(f"unknown oracle mode {mode!r}")
     if X == 0:
         return 0
-    # grow the sieve in 4x steps so repeated queries share one array build
+    # grow the sieve in 4x steps so repeated queries share one array build,
+    # never past the oracle bound
     global _oracle_cap
     while _oracle_cap < X:
-        _oracle_cap *= 4
+        _oracle_cap = min(4 * _oracle_cap, ORACLE_X_BOUND)
     L, M = _oracle_arrays(_oracle_cap)
     arr = (M if mode == "ultrafriable" else L)[: X + 1]  # arr[n] for n = 0..X
     if a is not None:

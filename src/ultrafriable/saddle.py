@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfcx
 
 from . import primes as pr
 from .errors import DomainError, RegimeError
@@ -345,15 +344,55 @@ def xi(v: float) -> float:
 # Gaussian factor and arithmetic factors
 # ---------------------------------------------------------------------------
 
-def gaussian_G(z: float) -> float:
-    """G(z) = e^{z^2/2} * (upper Gaussian tail at z).
+_ERFC_CUT = 26.0  # erfc(x) underflows near x = 26.5; the asymptotic series takes over here
+_SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant for doubles
 
-    Evaluated through the scaled complementary error function, so there is
-    no overflow for large z:  G(z) = erfcx(z / sqrt(2)) / 2.
+
+def _exp_sq(t: float, c: float = 1.0) -> float:
+    """exp(c t^2) for c a power of two, without rounding c t^2 to one double.
+
+    Veltkamp's split t = hi + lo leaves hi 26 significant bits, so
+    t^2 = hi*hi + (t + hi)*lo with hi*hi exact and the second term small.
+    """
+    s = _SPLIT * t
+    hi = s - (s - t)
+    lo = t - hi
+    return math.exp(c * hi * hi) * math.exp(c * (t + hi) * lo)
+
+
+def _erfcx(x: float) -> float:
+    """Scaled complementary error function e^{x^2} erfc(x) for x >= 0.
+
+    Below _ERFC_CUT it is exp(x^2) * erfc(x) with x^2 split exactly; from
+    there on the asymptotic series 1/(x sqrt(pi)) * sum_k (-1)^k
+    (2k-1)!!/(2x^2)^k, whose terms reach double precision within ten.
+    """
+    if x < _ERFC_CUT:
+        return _exp_sq(x) * math.erfc(x)
+    h = 0.5 / (x * x)
+    total = term = 1.0
+    k = 1
+    while abs(term) > 1e-17:
+        term *= -(2 * k - 1) * h
+        total += term
+        k += 1
+    return total / (x * math.sqrt(math.pi))
+
+
+def gaussian_G(z: float) -> float:
+    """G(z) = e^{z^2/2} * (upper Gaussian tail at z) = erfcx(z / sqrt(2)) / 2.
+
+    For z >= 0 it is _erfcx(z / sqrt(2)) / 2, which never overflows and is
+    well conditioned, so rounding z / sqrt(2) costs nothing.  For z < 0 it
+    is the reflection G(z) = e^{z^2/2} - G(-z), with z^2/2 formed exactly
+    from z itself (through x = z / sqrt(2), e^{x^2} would carry a relative
+    error of z^2 ulp).  The relative error stays below 2e-15 for z >= -10.
     """
     if z < -10.0:
         raise DomainError(f"G evaluated outside the supported range z >= -10: {z}")
-    return 0.5 * float(erfcx(z / math.sqrt(2.0)))
+    if z < 0.0:
+        return _exp_sq(z, 0.5) - gaussian_G(-z)
+    return 0.5 * _erfcx(z / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)

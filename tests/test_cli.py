@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -186,3 +190,34 @@ def test_estimate_row_below_sqrt_y(capsys):
     assert math.isnan(float(row["delta_q"]))
     for col in ("budget", "u", "eta", "d_q", "c_q"):
         assert math.isfinite(float(row[col])), col
+
+
+def test_chars_bad_modulus_exit_2(capsys):
+    for q, err in (("20000", "ResourceError"), ("0", "DomainError")):
+        code = main(["chars", "--q", q])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and err in lines[0]
+
+
+def test_import_loads_no_scipy_or_process_pool():
+    """Start-up needs numpy only; multiprocessing waits for a parallel sweep."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, ultrafriable, ultrafriable.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')"
+            " or m == 'concurrent.futures.process'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_jobs_2_matches_jobs_1(capsys):
+    args = ["sweep", "--variant", "T1i,T4", "--x-grid", "e15:e25:3", "--y", "100",
+            "--q-grid", "1,7", "--a", "1"]
+    _, out1 = run_cli(args + ["--jobs", "1"], capsys)
+    _, out2 = run_cli(args + ["--jobs", "2"], capsys)
+    assert len(out1.strip().splitlines()) == 1 + 2 * 3 * 2
+    assert out1 == out2

@@ -25,7 +25,8 @@ from ultrafriable import (
     naive_oracle,
     tau_N,
 )
-from ultrafriable.counting import LIST_CAP
+from ultrafriable import counting as ct
+from ultrafriable.counting import LIST_CAP, RESIDUE_Q_BOUND
 from ultrafriable.primes import factorize
 from conftest import divisors_of
 
@@ -133,6 +134,18 @@ def test_friable_guards():
         count_friable(1000, 10, q=11)
 
 
+def test_friable_progression_q_bound():
+    # each memo entry would be a q-long list; the guard fires before any is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            count_friable_progression(100, 10, 1, RESIDUE_Q_BOUND + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * RESIDUE_Q_BOUND
+
+
 def test_character_sum_examples(table10):
     chi0 = [c for c in enumerate_characters(3) if c.is_principal][0]
     s = character_sum(2520, table10, chi0)
@@ -206,6 +219,18 @@ def test_oracle_sieve_only_grows():
     for x in (10, 5_000, 70_000, 200_000):
         naive_oracle(x, 30, q=7)
     assert _oracle_arrays.cache_info().misses == misses
+
+
+def test_oracle_sieve_stops_at_bound(monkeypatch):
+    # 1000 -> 4000 -> 16000 would pass the bound; the sieve stops at it
+    monkeypatch.setattr(ct, "ORACLE_X_BOUND", 5000)
+    monkeypatch.setattr(ct, "_oracle_cap", 1000)
+    assert naive_oracle(4500, 30, mode="friable") == count_friable(4500, 30)
+    assert ct._oracle_cap == 5000
+    L, M = ct._oracle_arrays(ct._oracle_cap)
+    assert len(L) == len(M) == 5001
+    with pytest.raises(ResourceError):
+        naive_oracle(5001, 30)
 
 
 def test_oracle_against_per_n_loop():

@@ -361,3 +361,27 @@ def test_G_decreasing_and_quadrature():
         assert abs(g - ref) <= 1e-12 * ref
     with pytest.raises(DomainError):
         gaussian_G(-11.0)
+
+
+def test_G_against_mpmath_erfcx():
+    """G(z) = exp(x^2) erfc(x) / 2 with x = z / sqrt 2, at 40 digits.
+
+    Covers the reflected negative side, both sides of the switch to the
+    asymptotic series at x = 26, and the series itself out to z = 60.
+    """
+    mp.mp.dps = 40
+    xs_cut = [26.0 + d for d in (-0.5, -1e-9, 0.0, 1e-9, 0.5)]
+    zs = [float(z) for z in np.linspace(-10.0, 60.0, 701)] + [x * math.sqrt(2.0) for x in xs_cut]
+    for z in zs:
+        x = mp.mpf(z) / mp.sqrt(2)
+        ref = mp.exp(x * x) * mp.erfc(x) / 2
+        assert abs(gaussian_G(z) - ref) <= 2e-15 * ref, z
+    prev = math.inf
+    for z in np.linspace(-10.0, 60.0, 7001):
+        g = gaussian_G(float(z))
+        assert g < prev, z
+        prev = g
+    # z sqrt(2 pi) G(z) = 1 - 1/z^2 + 3/z^4 - ...
+    for z in (1e2, 1e4, 1e8, 1e100):
+        lead = z * math.sqrt(2 * math.pi) * gaussian_G(z)
+        assert 0.0 <= 1.0 - lead <= 1.0 / z**2 + 1e-15, z
