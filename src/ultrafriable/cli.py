@@ -26,7 +26,7 @@ from . import counting as ct
 from . import estimators as es
 from . import primes as pr
 from . import saddle as sd
-from .errors import UltrafriableError
+from .errors import DomainError, UltrafriableError
 
 COLUMNS = [
     "mode", "x", "log_x", "y", "q", "a", "variant", "regime",
@@ -144,6 +144,8 @@ def _dispatch(spec: dict, row: dict):
     if mode == "count":
         kind = spec.get("variant") or "ultrafriable"
         row["variant"] = kind
+        if kind not in ("ultrafriable", "friable"):
+            raise DomainError(f"unknown count variant {kind!r}; use ultrafriable or friable")
         if kind == "friable":
             if a is not None:
                 n = ct.count_friable_progression(x, y, a, q or 1)
@@ -238,16 +240,16 @@ def _estimate_and_exact(variant, x, table, ctx, a, spec, mode):
         exact = ct.count_ultrafriable(x, table, ctx) if need_exact else 0
     elif variant in es.VARIANTS_PROGRESSION:
         if a is None:
-            raise ValueError("T4/T5 need a residue class --a")
+            raise DomainError("T4/T5 need a residue class --a")
         est = es.estimate_progression(x, table, ctx, a, variant, eps, c0, c1, c2)
         exact = ct.count_ultrafriable_residues(x, table, ctx.q)[a] if need_exact else 0
     elif variant == "R6":
         if a is None:
-            raise ValueError("R6 needs a residue class --a")
+            raise DomainError("R6 needs a residue class --a")
         est = es.estimate_noncoprime(x, table, ctx.q, a, eps, c0, c1)
         exact = ct.count_ultrafriable_residues(x, table, ctx.q)[a] if need_exact else 0
     else:
-        raise ValueError(f"unknown variant {variant!r}")
+        raise DomainError(f"unknown variant {variant!r}")
     return est, exact
 
 

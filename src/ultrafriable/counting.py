@@ -39,7 +39,8 @@ fresh engines: a plain count at y = 200 takes 19 ms at x = e^24, 75 ms at
 e^30 and 0.6 s at e^40 (peak RSS 0.24 GB); at y = 100 it takes 3.4 ms at
 x = e^45, above 2^63, and at y = 300, x = e^35 about 2.2 s and 0.5 GB.  A
 residue vector at y = 100, x = e^30 takes 6 ms for q = 7, 23 ms for q = 210
-and 0.16 s for q = 1001.
+and 0.16 s for q = 1001.  The sieve behind ``naive_oracle`` builds in 28 ms
+at 10^6 and 0.6 s at 10^7 (84 MB traced peak), best of three.
 """
 
 from __future__ import annotations
@@ -549,12 +550,32 @@ def _oracle_arrays(xmax: int):
 
     L[n] = P+(n) with L[1] = 1;  M[n] = max over p^a || n of p^a, M[1] = 1.
     n is y-friable iff L[n] <= y and y-ultrafriable iff M[n] <= y.
+
+    L is sieved in two parts, each a loop of about sqrt(xmax) numpy passes.
+    Primes p <= isqrt(xmax) are written strided, L[p::p] = p, in ascending
+    order.  A prime p > isqrt(xmax) divides n = m * p only with
+    m < sqrt(xmax) < p, so it is P+(n); those n are written last, one
+    fancy-indexed pass per cofactor m over every large prime p <= xmax // m.
+    M[n] >= P+(n) = L[n], so M starts as a copy of L and only the prime
+    powers p^e <= xmax with e >= 2 (all of small primes) raise it, strided
+    over their multiples.  Both arrays are int32, which relies on
+    ORACLE_X_BOUND < 2^31: every entry is at most xmax.
     """
-    L = np.ones(xmax + 1, dtype=np.int64)
-    M = np.ones(xmax + 1, dtype=np.int64)
-    for p in pr.sieve_primes(xmax).tolist():
+    L = np.ones(xmax + 1, dtype=np.int32)
+    primes = pr.sieve_primes(xmax)
+    small = primes[: np.searchsorted(primes, math.isqrt(xmax), "right")].tolist()
+    for p in small:
         L[p::p] = p
-        pw = p
+    big = primes[len(small):]
+    big32 = big.astype(np.int32)
+    m, k = 1, len(big)
+    while k:  # the large primes p <= xmax // m
+        L[m * big[:k]] = big32[:k]
+        m += 1
+        k = int(np.searchsorted(big, xmax // m, "right"))
+    M = L.copy()
+    for p in small:
+        pw = p * p
         while pw <= xmax:
             sl = M[pw::pw]
             np.maximum(sl, pw, out=sl)
@@ -587,6 +608,9 @@ def naive_oracle(x, y: int, a: int | None = None, q: int | None = None,
         _oracle_cap = min(4 * _oracle_cap, ORACLE_X_BOUND)
     L, M = _oracle_arrays(_oracle_cap)
     arr = (M if mode == "ultrafriable" else L)[: X + 1]  # arr[n] for n = 0..X
+    # arr[n] <= n <= X, so comparing with min(y, X) is the same test, and the
+    # int32 array never meets a Python int outside its range
+    y = min(y, X)
     if a is not None:
         if q is None or q < 1:
             raise DomainError("a requires a modulus q >= 1")

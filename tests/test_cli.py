@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ultrafriable.calibration import parse_constants
+from ultrafriable.calibration import DATA_FILE, parse_constants
 from ultrafriable.cli import COLUMNS, build_parser, main, parse_grid, parse_x
 
 
@@ -139,6 +139,14 @@ def test_calibrate_fast(capsys):
     assert "t1_band_C" in consts and consts["t1_band_C"] > 0
 
 
+def test_calibrate_reproduces_frozen_constants(capsys):
+    """The shipped constants are a fixed point of a full calibration run."""
+    code, out = run_cli(["calibrate"], capsys)
+    assert code == 0
+    frozen = Path(__file__).resolve().parents[1] / "src" / "ultrafriable" / "data" / DATA_FILE
+    assert out == frozen.read_text(encoding="utf-8")
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "rows.csv"
     code, _ = run_cli(["count", "--x", "100", "--y", "10", "--out", str(target)], capsys)
@@ -161,6 +169,20 @@ def test_friable_count_variant(capsys):
     _, out = run_cli(["count", "--x", "100", "--y", "3", "--variant", "friable"], capsys)
     row = dict(zip(COLUMNS, out.strip().splitlines()[1].split(",")))
     assert row["exact_value_or_log"] == "20"
+
+
+@pytest.mark.parametrize("args", [
+    ["count", "--variant", "oracle"],
+    ["count", "--variant", "frieble"],
+    ["estimate", "--variant", "T9"],
+    ["estimate", "--variant", "R6", "--q", "7"],
+])
+def test_unknown_or_incomplete_variant_is_a_row_error(capsys, args):
+    code, out = run_cli(args + ["--x", "1e6", "--y", "100"], capsys)
+    assert code == 0
+    row = dict(zip(COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert row["status"].startswith("DomainError"), row["status"]
+    assert row["exact_value_or_log"] == ""
 
 
 def test_parse_x_integer_literal_is_exact():
@@ -221,3 +243,17 @@ def test_sweep_jobs_2_matches_jobs_1(capsys):
     _, out2 = run_cli(args + ["--jobs", "2"], capsys)
     assert len(out1.strip().splitlines()) == 1 + 2 * 3 * 2
     assert out1 == out2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_without_residue_class_is_a_row_error(capsys, jobs):
+    code, out = run_cli(["sweep", "--variant", "T1i,T4", "--x-grid", "e15:e25:3", "--y", "100",
+                         "--q-grid", "1,7", "--jobs", jobs], capsys)
+    assert code == 0
+    rows = [dict(zip(COLUMNS, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert len(rows) == 2 * 3 * 2
+    for row in rows:
+        if row["variant"] == "T1i":
+            assert row["status"] == "ok"
+        else:
+            assert row["variant"] == "T4" and row["status"].startswith("DomainError"), row

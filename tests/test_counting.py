@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -255,6 +256,36 @@ def test_oracle_against_per_n_loop():
                             for a_rep in (a, a - q, a + 2 * q):
                                 assert naive_oracle(n, y, a=a_rep, q=q, mode=mode) == classes[a], \
                                     (n, y, q, a_rep, mode)
+
+
+def test_oracle_arrays_against_factorisation():
+    """The two-part sieve against P+(m) and the largest p^a || m for every m <= n."""
+    top = 16000
+    L_ref, M_ref = [1, 1], [1, 1]
+    for m in range(2, top + 1):
+        f = factorize(m)
+        L_ref.append(max(f))
+        M_ref.append(max(p ** e for p, e in f.items()))
+    sizes = {1, 2, 3, 4, 1000, 4000, top}
+    for p in (2, 3, 5, 7, 11, 31):
+        sizes |= {p * p - 1, p * p, p * p + 1}
+    for n in sorted(sizes):
+        L, M = ct._oracle_arrays.__wrapped__(n)
+        assert L.dtype == M.dtype == np.int32, n
+        assert len(L) == len(M) == n + 1, n
+        assert L[1:].tolist() == L_ref[1 : n + 1], n
+        assert M[1:].tolist() == M_ref[1 : n + 1], n
+        assert int(L.max()) <= max(n, 1) and int(M.max()) <= max(n, 1), n
+
+
+def test_oracle_huge_y_is_y_equals_x():
+    for x in (1, 2, 999, 5000):
+        for mode in ("ultrafriable", "friable"):
+            for y in (2**40, 10**30):
+                assert naive_oracle(x, y, mode=mode) == naive_oracle(x, x, mode=mode) == x
+                assert naive_oracle(x, y, q=6, mode=mode) == naive_oracle(x, x, q=6, mode=mode)
+                assert naive_oracle(x, y, a=4, q=7, mode=mode) == \
+                    naive_oracle(x, x, a=4, q=7, mode=mode)
 
 
 def test_engine_caches_are_shared(table100):
