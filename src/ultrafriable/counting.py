@@ -23,6 +23,16 @@ is allocated, and a list longer than ``LIST_CAP`` (2^25 entries, 256 MB of
 int64) raises ResourceError instead.  Every product formed is at most x, so
 a bound below 2^63 never overflows int64.
 
+The same core counts friable integers.  A y-friable n <= x whose prime
+factors are all <= sqrt(x) divides N_x = prod p^nu_p(x) over the primes
+p <= min(y, sqrt(x)), where p^nu_p(x) <= x < p^(nu_p(x)+1), so those n are
+the divisors <= x of N_x: a plain count over the rows (p, nu_p(x)) with
+p ∤ q, or a residue count over all of them.  Every other y-friable n <= x
+is p * m for one prime sqrt(x) < p <= y and some m <= x // p < p
+(Buchstab's identity), and those are counted in one numpy pass over the
+primes: the m coprime to q by inclusion-exclusion over rad(q), or the m in
+the class a / p mod q (a / p mod q / p when p divides q and a).
+
 All comparisons are exact integer comparisons; bounds given as reals are
 floored once on entry (counts are step functions of x).
 
@@ -39,14 +49,16 @@ fresh engines: a plain count at y = 200 takes 19 ms at x = e^24, 75 ms at
 e^30 and 0.6 s at e^40 (peak RSS 0.24 GB); at y = 100 it takes 3.4 ms at
 x = e^45, above 2^63, and at y = 300, x = e^35 about 2.2 s and 0.5 GB.  A
 residue vector at y = 100, x = e^30 takes 6 ms for q = 7, 23 ms for q = 210
-and 0.16 s for q = 1001.  The sieve behind ``naive_oracle`` builds in 28 ms
-at 10^6 and 0.6 s at 10^7 (84 MB traced peak), best of three.
+and 0.16 s for q = 1001.  A friable count at x = 10^9 (prime table built,
+one call) takes 0.2 s at y = 1000 and about 2 s and 0.4 GB peak RSS from y = 31622 to
+10^6; one class mod 1009 there takes about 6 s and 0.9 GB.  The sieve behind
+``naive_oracle`` builds in 28 ms at 10^6 and 0.6 s at 10^7 (84 MB traced
+peak), best of three.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -89,7 +101,7 @@ def _listed_directly(rows, X: int) -> np.ndarray:
         pw = 1
         for _ in range(nu):
             pw *= p
-            k = int(np.searchsorted(d, X // pw, "right"))
+            k = int(d.searchsorted(X // pw, "right"))
             if k == 0:
                 break
             pieces.append(d[:k] * pw)
@@ -216,6 +228,37 @@ def _halves(rows, X: int) -> tuple[np.ndarray, np.ndarray]:
     return _divisors_le(left, X), _divisors_le(right, X)
 
 
+def _count_divisors(rows, N: int, tau: int, bound: int) -> int:
+    """Divisors <= bound of N = prod p^nu over rows, where tau = tau(N)."""
+    if bound < 1:
+        return 0
+    if bound >= N:
+        return tau
+    if bound * bound >= N:
+        # symmetry: divisors > bound pair with divisors < N/bound
+        return tau - _count_divisors(rows, N, tau, (N - 1) // bound)
+    if bound < _INT64_LIMIT:
+        return _count_pairs(*_halves(rows, bound), bound)
+    p, nu = rows[-1]
+    rest, N, tau = rows[:-1], N // p ** nu, tau // (nu + 1)
+    return sum(_count_divisors(rest, N, tau, bound // p ** e) for e in range(nu + 1))
+
+
+def _full_residues(rows, q: int) -> tuple[int, ...]:
+    """Residue counts mod q of all divisors of prod p^nu over rows, exact Python ints."""
+    vec = [0] * q
+    vec[1 % q] = 1
+    for p, nu in rows:
+        cur = vec[:]
+        for e in range(1, nu + 1):
+            r = pow(p, e, q)
+            for s, c in enumerate(vec):
+                if c:
+                    cur[(r * s) % q] += c
+        vec = cur
+    return tuple(vec)
+
+
 class _DivisorRows:
     """The (p, nu_p) rows of N = prod p^nu_p, ascending in p.
 
@@ -244,29 +287,13 @@ class DivisorCounter(_DivisorRows):
 
     def count_le(self, bound: int) -> int:
         """Number of divisors of N that are <= bound (exact)."""
-        return self._count(self.rows, self.N, self.tau, bound)
+        return _count_divisors(self.rows, self.N, self.tau, bound)
 
     def count_below(self, num: int, den: int = 1) -> int:
         """Number of divisors d with d * den < num (strict left limit)."""
         if num <= den:
             return 0
         return self.count_le((num - 1) // den)
-
-    def _count(self, rows, N: int, tau: int, bound: int) -> int:
-        # divisors <= bound of N = prod p^nu over rows, tau = tau(N)
-        if bound < 1:
-            return 0
-        if bound >= N:
-            return tau
-        if bound * bound >= N:
-            # symmetry: divisors > bound pair with divisors < N/bound
-            return tau - self._count(rows, N, tau, (N - 1) // bound)
-        if bound < _INT64_LIMIT:
-            return _count_pairs(*_halves(rows, bound), bound)
-        p, nu = rows[-1]
-        rest, N, tau = rows[:-1], N // p ** nu, tau // (nu + 1)
-        return sum(self._count(rest, N, tau, bound // p ** e) for e in range(nu + 1))
-
 
 # ---------------------------------------------------------------------------
 # residue-class divisor counting
@@ -304,18 +331,7 @@ class ResidueDivisorCounter(_DivisorRows):
     def full_counts(self) -> tuple[int, ...]:
         """Residue counts of all divisors of N, exact Python ints, built once."""
         if self._full is None:
-            q = self.q
-            vec = [0] * q
-            vec[1 % q] = 1
-            for p, nu in self.rows:
-                cur = vec[:]
-                for e in range(1, nu + 1):
-                    r = pow(p, e, q)
-                    for s, c in enumerate(vec):
-                        if c:
-                            cur[(r * s) % q] += c
-                vec = cur
-            self._full = tuple(vec)
+            self._full = _full_residues(self.rows, self.q)
         return self._full
 
     def count_le(self, bound: int) -> ResidueCounts:
@@ -412,128 +428,107 @@ def character_sum(x, table: pr.PrimePowerTable, chi) -> complex:
 # friable counting
 # ---------------------------------------------------------------------------
 
-def _coprime_count_upto(X: int, q: int) -> int:
-    """#{n <= X : (n, q) = 1} by inclusion-exclusion over rad(q)."""
-    ps = sorted(pr.factorize(q))
-    total = 0
-    for mask in range(1 << len(ps)):
-        d, bits = 1, 0
-        m = mask
-        for p in ps:
-            if m & 1:
-                d *= p
-                bits += 1
-            m >>= 1
-        total += (-1) ** bits * (X // d)
-    return total
+def _coprime_upto(M, q_primes):
+    """#{1 <= m <= M : (m, q) = 1} elementwise, by inclusion-exclusion over rad(q).
+
+    Only the squarefree d | rad(q) up to max(M) give a nonzero term M // d.
+    """
+    top = int(np.max(M, initial=0))
+    terms = [(1, 1)]
+    for p in q_primes:
+        terms += [(-sign, d * p) for sign, d in terms if d * p <= top]
+    return sum(sign * (M // d) for sign, d in terms)
 
 
-def count_friable(x, y: int, q: int = 1, limit: int = FRIABLE_X_BOUND) -> int:
-    """Exact number of y-friable n <= x with (n, q) = 1.
+def _class_upto(M, c, q):
+    """#{1 <= m <= M : m ≡ c (mod q)} elementwise, for M >= 0."""
+    return (M - ((c - 1) % q + 1)) // q + 1
 
-    Uses the memoised recursion Psi(x, p_k) = Psi(x, p_{k-1}) + Psi(x/p_k, p_k)
-    over the primes p <= y not dividing q.
+
+def _friable_head(X: int, y: int):
+    """The rows (p, nu_p(X)) for p <= min(y, sqrt(X)), and the primes
+    sqrt(X) < p <= y as int64, where 2 <= y < X."""
+    primes = pr.build_table(y).p_arr
+    k = int(np.searchsorted(primes, math.isqrt(X), "right"))
+    rows = []
+    for p in primes[:k].tolist():
+        nu, pw = 1, p
+        while pw * p <= X:
+            pw *= p
+            nu += 1
+        rows.append((p, nu))
+    return rows, primes[k:]
+
+
+def count_friable(x, y: int, q: int = 1) -> int:
+    """Exact number of y-friable n <= x with (n, q) = 1; needs P+(q) <= y.
+
+    A divisor count of N_x over the primes p <= min(y, sqrt(x)), p ∤ q,
+    plus Buchstab's tail over sqrt(x) < p <= y (see the module docstring).
     """
     X = _floor_bound(x)
     if X < 0:
         raise DomainError(f"need x >= 0, got {x}")
-    if X > limit:
-        raise ResourceError(f"x={x} exceeds the exact friable-count bound {limit}")
+    if X > FRIABLE_X_BOUND:
+        raise ResourceError(f"x={x} exceeds the exact friable-count bound {FRIABLE_X_BOUND}")
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
     if X == 0:
         return 0
-    if q > 1:
-        pmax = max(pr.factorize(q))
-        if pmax > y:
-            raise PreconditionError(f"P+(q)={pmax} exceeds y={y}")
+    q_primes = sorted(pr.factorize(q))
+    if q_primes and q_primes[-1] > y:
+        raise PreconditionError(f"P+(q)={q_primes[-1]} exceeds y={y}")
     if y < 2:
         return 1  # only n = 1 has no prime factor
     if y >= X:
-        return _coprime_count_upto(X, q) if q > 1 else X
-    table = pr.build_table(max(2, min(y, X)))
-    qset = set(pr.factorize(q)) if q > 1 else set()
-    plist = [p for p in table.primes if p not in qset]
-    memo: dict[tuple[int, int], int] = {}
-
-    # Psi(X, k) = 1 + sum_j Psi(X // p_j, j+1): split n > 1 by its largest
-    # prime factor p_j.  Keeps the recursion depth at the multiplicative
-    # chain length instead of the prime count.
-    def rec(X: int, k: int) -> int:
-        if X < 1:
-            return 0
-        if X < 2 or k == 0:
-            return 1
-        if plist[k - 1] > X:
-            k = bisect_right(plist, X)
-            if k == 0:
-                return 1
-        key = (X, k)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = 1
-        for j in range(k):
-            out += rec(X // plist[j], j + 1)
-        memo[key] = out
-        return out
-
-    return rec(X, len(plist))
+        return _coprime_upto(X, q_primes)
+    rows, tail = _friable_head(X, y)
+    d = _DivisorRows((p, nu) for p, nu in rows if p not in q_primes)
+    count = _count_divisors(d.rows, d.N, d.tau, X)
+    if len(tail):
+        tail = tail[np.isin(tail, q_primes, invert=True)]
+        count += int(_coprime_upto(X // tail, q_primes).sum())
+    return count
 
 
-def count_friable_progression(x, y: int, a: int, q: int, limit: int = FRIABLE_X_BOUND) -> int:
+def count_friable_progression(x, y: int, a: int, q: int) -> int:
     """Exact number of y-friable n <= x with n ≡ a (mod q).
 
-    Residue-tracked version of the friable recursion: the state is a full
-    vector of class counts, rotated by p mod q when a prime p is absorbed.
-    Each memo entry is a q-long list, so q > RESIDUE_Q_BOUND raises
+    A residue count of the divisors of N_x over the primes p <= min(y, sqrt(x))
+    (the full residue vector when x >= N_x), plus Buchstab's tail over
+    sqrt(x) < p <= y (see the module docstring).  q > RESIDUE_Q_BOUND raises
     ResourceError.
     """
     X = _floor_bound(x)
     if X < 0:
         raise DomainError(f"need x >= 0, got {x}")
-    if X > limit:
-        raise ResourceError(f"x={x} exceeds the exact friable-count bound {limit}")
+    if X > FRIABLE_X_BOUND:
+        raise ResourceError(f"x={x} exceeds the exact friable-count bound {FRIABLE_X_BOUND}")
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
     if q > RESIDUE_Q_BOUND:
         raise ResourceError(f"q={q} exceeds the residue-vector bound {RESIDUE_Q_BOUND}")
     if q == 1:
-        return count_friable(X, y, 1, limit)
+        return count_friable(X, y)
     if X == 0:
         return 0
-    plist = list(pr.build_table(min(y, X)).primes) if min(y, X) >= 2 else []
-    memo: dict[tuple[int, int], list[int]] = {}
-    base = [0] * q
-    base[1 % q] = 1
-
-    zero = [0] * q
-
-    def rec(X: int, k: int) -> list[int]:
-        if X < 1:
-            return zero
-        if X < 2 or k == 0:
-            return base
-        if plist[k - 1] > X:
-            k = bisect_right(plist, X)
-            if k == 0:
-                return base
-        key = (X, k)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = base[:]
-        for j in range(k):
-            p = plist[j]
-            right = rec(X // p, j + 1)
-            r = p % q
-            for s, c in enumerate(right):
-                if c:
-                    out[(r * s) % q] += c
-        memo[key] = out
-        return out
-
-    return rec(X, len(plist))[a % q]
+    a %= q
+    if y >= X:
+        return _class_upto(X, a, q)
+    if y < 2:
+        return int(a == 1)  # only n = 1 has no prime factor
+    rows, tail = _friable_head(X, y)
+    count = _full_residues(rows, q)[a] if X >= _DivisorRows(rows).N else \
+        int(_residue_pairs(*_halves(rows, X), X, q)[a])
+    if len(tail):
+        # p m ≡ a (mod q) with g = (p, q) in {1, p}: m ≡ (a/g) (p/g)^-1 (mod q/g) if g | a
+        g = np.gcd(tail, q)
+        units, where = np.unique(tail // g % q, return_inverse=True)
+        inverse = np.array([pow(u, -1, q) for u in units.tolist()], dtype=np.int64)[where]
+        Q = q // g
+        counts = _class_upto(X // tail, a // g * inverse % Q, Q)
+        count += int(counts[a % g == 0].sum())
+    return count
 
 
 # ---------------------------------------------------------------------------

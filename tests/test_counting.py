@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +149,87 @@ def test_friable_progression_q_bound():
     finally:
         tracemalloc.stop()
     assert peak < 8 * RESIDUE_Q_BOUND
+
+
+# ---------------------------------------------------------------------------
+# friable counts: the divisor core below sqrt(x), Buchstab's tail above
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.integers(min_value=0, max_value=10**6), y=st.integers(min_value=2, max_value=10**6),
+       q=st.sampled_from((1, 2, 6, 7, 30, 74, 210)), a=st.integers(min_value=0, max_value=209))
+def test_friable_counts_match_oracle(x, y, q, a):
+    if max(factorize(q), default=1) <= y:
+        assert count_friable(x, y, q) == naive_oracle(x, y, q=q, mode="friable")
+    assert count_friable_progression(x, y, a, q) == naive_oracle(x, y, a=a, q=q, mode="friable")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31, 37, 317, 997])
+def test_friable_buchstab_edges(p):
+    # y = isqrt(x) leaves the tail empty; y = isqrt(x) + 1 adds one prime to it or none
+    for x in (p * p - 1, p * p, p * p + 1):
+        for y in (math.isqrt(x), math.isqrt(x) + 1):
+            assert count_friable(x, y) == naive_oracle(x, y, mode="friable"), (x, y)
+            if y >= 7:
+                assert count_friable(x, y, 42) == naive_oracle(x, y, q=42, mode="friable"), (x, y)
+            for a in (0, 1, 3, 6):
+                assert count_friable_progression(x, y, a, 7) == \
+                    naive_oracle(x, y, a=a, q=7, mode="friable"), (x, y, a)
+
+
+@pytest.mark.parametrize("x", [1000, 1368, 1369, 1370])
+def test_friable_classes_with_prime_of_q_above_sqrt_x(x):
+    # 74 = 2 * 37 and 37^2 = 1369: at y >= 37, the prime 37 | q sits in the tail
+    # for x < 1369 and in the divisor rows from 1369 on
+    for y in (36, 37, 38, 200):
+        assert [count_friable_progression(x, y, a, 74) for a in range(74)] == \
+            [naive_oracle(x, y, a=a, q=74, mode="friable") for a in range(74)], (x, y)
+
+
+@pytest.mark.parametrize("x, y, q", [(10**7, 50, 30), (10**7, 5000, 7), (2 * 10**7, 10**5, 6)])
+def test_friable_classes_sum_to_plain_and_coprime_counts(x, y, q):
+    vec = [count_friable_progression(x, y, a, q) for a in range(q)]
+    assert sum(vec) == count_friable(x, y)
+    assert sum(c for a, c in enumerate(vec) if math.gcd(a, q) == 1) == count_friable(x, y, q)
+
+
+def test_friable_anchors():
+    # from the memoised recursions the divisor-core counts replaced
+    assert count_friable(10**8, 1000) == 11_298_170
+    assert count_friable(10**9, 1000) == 59_244_184
+    assert count_friable(10**9, 10**6, 210) == 118_814_459
+    assert count_friable_progression(10**7, 1000, 11, 210) == 5277
+
+
+def test_friable_y_at_least_x():
+    assert count_friable(10**9, 10**9) == 10**9
+    assert count_friable(999_999_990, 10**9, 30) == 999_999_990 // 30 * 8
+    assert count_friable_progression(10**9, 10**9, 1, 3) == 333_333_334
+    assert count_friable_progression(10**6, 10**6, 1, 3) == 333_334
+    assert count_friable_progression(10**6, 10**7, 0, 3) == 333_333
+
+
+def test_tracer_patches_existing_names():
+    """bench/tracing.py swaps package attributes by name; every one must exist."""
+    root = Path(__file__).resolve().parents[1]
+    code = ("from tracing import Tracer\n"
+            "from ultrafriable import counting as ct, primes as pr\n"
+            "tracer = Tracer()\n"
+            "tracer.install()\n"
+            "t = pr.build_table(30)\n"
+            "print(ct.count_friable(10**4, 30), ct.count_friable_progression(10**4, 30, 1, 7),\n"
+            "      ct.get_counter(t).count_le(10**4), ct.get_residue_counter(t, 7).count_le(10**4)[1])\n"
+            "m = tracer.layer_metrics()\n"
+            "print(m['counting.engine_builds'], m['counting.friable_s'] > 0)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(root / d) for d in ("src", "bench")))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    counts, metrics = proc.stdout.strip().splitlines()
+    assert counts.split() == [str(naive_oracle(10**4, 30, mode="friable")),
+                              str(naive_oracle(10**4, 30, a=1, q=7, mode="friable")),
+                              str(naive_oracle(10**4, 30)), str(naive_oracle(10**4, 30, a=1, q=7))]
+    assert metrics == "2.0 True"
 
 
 def test_character_sum_examples(table10):
