@@ -10,27 +10,29 @@ storage, which is ample for the supported range q <= 10^4.
 
 Each modulus has one table, built once per ``CharacterGroup``: the unit
 residues, their generator exponents (the discrete-log grid coordinates)
-and the phi(q) characters.  A single character sum buckets the residue
-counts by value index as exact integers and touches the L roots of unity
-only at the end; all phi(q) sums at once are one FFT over the grid of
-shape ``orders``.
+and the phi(q) characters.  Every value chi(n) is read from that table:
+the row of n mod q gives the exponents, their dot product with the
+character's steps t_i L / o_i the value index, and ``roots`` the value,
+one row for a single n and one fancy-indexed pass for an array.  A single
+character sum buckets the residue counts by value index as exact integers
+and touches the L roots of unity only at the end; all phi(q) sums at once
+are one FFT over the grid of shape ``orders``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 
 import numpy as np
 
 from . import primes as pr
-from .counting import count_ultrafriable_residues
+from .counting import _INT64_LIMIT, count_ultrafriable_residues
 from .errors import DomainError, ResourceError
 
 CHARACTER_Q_BOUND = 10**4
-_INT64_LIMIT = 1 << 63
 
 
 def _primitive_root_mod_p(p: int) -> int:
@@ -111,7 +113,7 @@ class CharacterGroup:
         quarter = (4 * k) % L == 0
         self.roots[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // L]
         # exponent index of n: sum over generators of t_i * dlog_i(n) * (L / o_i)
-        self._weights = tuple(L // o for o in self.orders)
+        self._weights = np.array([L // o for o in self.orders], dtype=np.int64)
         # the unit table: residues coprime to q and their generator exponents
         residues = np.arange(q, dtype=np.int64)
         self.units = residues[np.gcd(residues, q) == 1]
@@ -125,13 +127,6 @@ class CharacterGroup:
         self._grid_index = self.dlogs @ np.array(strides, dtype=np.int64)
         self._characters: tuple[DirichletCharacter, ...] | None = None
 
-    def dlog_vector(self, n: int) -> tuple[int, ...] | None:
-        """Generator exponents of n, or None when gcd(n, q) > 1."""
-        row = self._unit_row[n % self.q]
-        if row < 0:
-            return None
-        return tuple(self.dlogs[row].tolist())
-
     def characters(self) -> list["DirichletCharacter"]:
         """All phi(q) characters in lexicographic exponent order, built once."""
         if self._characters is None:
@@ -142,7 +137,10 @@ class CharacterGroup:
 
     def value_indices_at(self, n: int) -> np.ndarray:
         """value_index of chi(n) for every chi, in ``characters()`` order; n coprime to q."""
-        steps = np.array(self.dlog_vector(n), dtype=np.int64) * np.array(self._weights, dtype=np.int64)
+        row = self._unit_row[n % self.q]
+        if row < 0:
+            raise DomainError(f"need (n, q) = 1, got n={n}, q={self.q}")
+        steps = self.dlogs[row] * self._weights
         exps = np.indices(self.orders).reshape(len(self.orders), self.phi_q).T
         return (exps @ steps) % self.exponent
 
@@ -193,16 +191,18 @@ class DirichletCharacter:
         for t, o in zip(self.exponents, orders):
             self.index = self.index * o + t
 
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """t_i L / o_i per generator, built on first use rather than with the group."""
+        return np.array(self.exponents, dtype=np.int64) * self.group._weights
+
     def value_index(self, n: int) -> int | None:
         """k with chi(n) = exp(2 pi i k / L), or None when chi(n) = 0."""
-        dv = self.group.dlog_vector(n)
-        if dv is None:
+        g = self.group
+        row = g._unit_row[n % self.modulus]
+        if row < 0:
             return None
-        L = self.group.exponent
-        k = 0
-        for t, d, wgt in zip(self.exponents, dv, self.group._weights):
-            k += t * d * wgt
-        return k % L
+        return int(g.dlogs[row] @ self._steps) % g.exponent
 
     def value_indices(self) -> np.ndarray:
         """value_index at every unit residue of the group table.
@@ -211,8 +211,14 @@ class DirichletCharacter:
         over a cached group, and the product costs microseconds.
         """
         g = self.group
-        steps = np.array([t * w for t, w in zip(self.exponents, g._weights)], dtype=np.int64)
-        return (g.dlogs @ steps) % g.exponent
+        return (g.dlogs @ self._steps) % g.exponent
+
+    def values(self, n: np.ndarray) -> np.ndarray:
+        """chi(n) for an int64 array n, complex; 0 where gcd(n, q) > 1."""
+        g = self.group
+        rows = g._unit_row[n % self.modulus]
+        k = (g.dlogs[rows] @ self._steps) % g.exponent
+        return np.where(rows >= 0, g.roots[k], 0)
 
     def __call__(self, n: int) -> complex:
         k = self.value_index(n)
@@ -243,14 +249,12 @@ def w_q(tau: float, beta: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
     """sum over p <= y, p ∤ q of (1 - Re(chi(p) p^{-i tau}))^2 / p^beta."""
     if beta <= 0:
         raise DomainError(f"need beta > 0, got {beta}")
-    pset = set(ctx.prime_divisors)
-    out = 0.0
-    for p, lp in zip(table.primes, table.logp_arr):
-        if p in pset:
-            continue
-        v = chi(p) * complex(math.cos(tau * lp), -math.sin(tau * lp))
-        out += (1.0 - v.real) ** 2 * math.exp(-beta * lp)
-    return out
+    if chi.modulus != ctx.q:
+        raise DomainError(f"the character is mod {chi.modulus}, the context mod {ctx.q}")
+    lp = table.logp_arr
+    re = (chi.values(table.p_arr) * np.exp(-1j * tau * lp)).real
+    terms = (1.0 - re) ** 2 * np.exp(-beta * lp)
+    return float(np.sum(terms[table.mask_coprime(ctx.prime_divisors)]))
 
 
 def d_sum(tau: float, beta: float, y: int, chi: DirichletCharacter) -> float:
@@ -258,11 +262,9 @@ def d_sum(tau: float, beta: float, y: int, chi: DirichletCharacter) -> float:
     if beta <= 0:
         raise DomainError(f"need beta > 0, got {beta}")
     table = pr.build_table(y)
-    out = 0.0
-    for p, lp in zip(table.primes, table.logp_arr):
-        v = chi(p) * complex(math.cos(tau * lp), -math.sin(tau * lp))
-        out += (1.0 - v.real) * lp * math.exp(-beta * lp)
-    return out
+    lp = table.logp_arr
+    re = (chi.values(table.p_arr) * np.exp(-1j * tau * lp)).real
+    return float(np.sum((1.0 - re) * lp * np.exp(-beta * lp)))
 
 
 def s_sum(tau: float, beta: float, y: int, chi: DirichletCharacter) -> complex:
@@ -273,23 +275,12 @@ def s_sum(tau: float, beta: float, y: int, chi: DirichletCharacter) -> complex:
     if beta <= 0:
         raise DomainError(f"need beta > 0, got {beta}")
     table = pr.build_table(y)
-    out = 0j
-    for p, nu, lp in zip(table.primes, table.nu, table.logp_arr):
-        n = 1
-        for _ in range(nu):
-            n *= p
-            v = chi(n)
-            if v != 0:
-                ln = math.log(n)
-                out += v * lp * math.exp(-beta * ln) * complex(
-                    math.cos(tau * ln), -math.sin(tau * ln)
-                )
-    return out
-
-
-def von_mangoldt_total(table: pr.PrimePowerTable) -> float:
-    """sum of Lambda(n) for n <= y; equals psi(y)."""
-    return float(np.dot(table.nu_arr.astype(np.float64), table.logp_arr))
+    ks = range(1, int(table.nu_arr.max()) + 1)
+    # the prime powers p^k <= y, k by k, with their Lambda = log p
+    n = np.concatenate([table.p_arr[table.nu_arr >= k] ** k for k in ks])
+    lp = np.concatenate([table.logp_arr[table.nu_arr >= k] for k in ks])
+    terms = chi.values(n) * lp * np.exp(-(beta + 1j * tau) * np.log(n))
+    return complex(np.sum(terms))
 
 
 # ---------------------------------------------------------------------------

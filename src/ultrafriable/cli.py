@@ -106,7 +106,8 @@ def _blank_row(spec: dict) -> dict:
     row["mode"] = spec["mode"]
     if spec.get("x") is not None:
         row["x"] = _fmt(spec["x"])
-        row["log_x"] = math.log(spec["x"])
+        # no log for x <= 0: x = 0 counts 0 and x < 0 is a DomainError row
+        row["log_x"] = math.log(spec["x"]) if spec["x"] > 0 else None
     row["y"] = spec.get("y")
     row["q"] = spec.get("q")
     row["a"] = spec.get("a")
@@ -139,6 +140,8 @@ def compute_row(spec: dict) -> dict:
 def _dispatch(spec: dict, row: dict):
     mode = spec["mode"]
     x, y, q, a = spec.get("x"), spec.get("y"), spec.get("q"), spec.get("a")
+    if q is None:
+        q = 1
     eps = spec.get("epsilon", es.DEFAULT_EPSILON)
 
     if mode == "count":
@@ -148,16 +151,16 @@ def _dispatch(spec: dict, row: dict):
             raise DomainError(f"unknown count variant {kind!r}; use ultrafriable or friable")
         if kind == "friable":
             if a is not None:
-                n = ct.count_friable_progression(x, y, a, q or 1)
+                n = ct.count_friable_progression(x, y, a, q)
             else:
-                n = ct.count_friable(x, y, q or 1)
+                n = ct.count_friable(x, y, q)
         else:
             table = pr.build_table(y)
             row["regime"] = pr.classify_regime(max(x, 2.0), table, eps).kind
             if a is not None:
-                n = ct.count_ultrafriable_residues(x, table, q or 1)[a]
+                n = ct.count_ultrafriable_residues(x, table, q)[a]
             else:
-                ctx = pr.modulus_context(q or 1, table)
+                ctx = pr.modulus_context(q, table)
                 n = ct.count_ultrafriable(x, table, ctx)
         row["exact_value_or_log"] = _fmt_count(n)
         return
@@ -202,7 +205,7 @@ def _dispatch(spec: dict, row: dict):
         return
 
     table = pr.build_table(y)
-    ctx = pr.modulus_context(q or 1, table)
+    ctx = pr.modulus_context(q, table)
 
     if mode in ("estimate", "compare"):
         variant = spec.get("variant") or "T1i"

@@ -193,8 +193,7 @@ def estimate_upsilon(x: float, table: pr.PrimePowerTable,
 
 
 def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
-                       variant: str = "T1i", epsilon: float = DEFAULT_EPSILON,
-                       eta_sqrt_u_max: float = T1III_ETA_SQRT_U) -> EstimateBreakdown:
+                       variant: str = "T1i", epsilon: float = DEFAULT_EPSILON) -> EstimateBreakdown:
     """Saddle main term for the coprime count, x^beta Z_q(beta, y) G(beta sqrt(sigma2)).
 
     Variants select the error budget:
@@ -223,9 +222,9 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
         _require_small_y(bud.regime, variant)
     if variant == "T1ii" and eta > 0.5:
         raise DomainError(f"T1ii needs eta <= 1/2, got eta={eta:.4g}")
-    if variant == "T1iii" and eta * math.sqrt(u) >= eta_sqrt_u_max:
+    if variant == "T1iii" and eta * math.sqrt(u) >= T1III_ETA_SQRT_U:
         raise DomainError(
-            f"T1iii needs eta*sqrt(u) < {eta_sqrt_u_max}, got {eta * math.sqrt(u):.4g}"
+            f"T1iii needs eta*sqrt(u) < {T1III_ETA_SQRT_U}, got {eta * math.sqrt(u):.4g}"
         )
 
     res = sd.beta_cached(lx, table.y)

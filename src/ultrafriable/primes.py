@@ -89,16 +89,16 @@ class PrimePowerTable:
 
 
 @lru_cache(maxsize=64)
-def build_table(y: int, budget: int = DEFAULT_Y_BUDGET) -> PrimePowerTable:
+def build_table(y: int) -> PrimePowerTable:
     """Sieve primes up to y and compute the maximal exponents nu_p.
 
     Raises DomainError for y < 2 and ResourceError for y beyond the memory
-    budget (default 10^8).
+    budget ``DEFAULT_Y_BUDGET`` (10^8).
     """
     if y < 2:
         raise DomainError(f"need y >= 2, got {y}")
-    if y > budget:
-        raise ResourceError(f"y={y} exceeds the configured budget {budget}")
+    if y > DEFAULT_Y_BUDGET:
+        raise ResourceError(f"y={y} exceeds the configured budget {DEFAULT_Y_BUDGET}")
     ps = sieve_primes(y)
     primes, nus, powers = [], [], []
     for p in ps.tolist():

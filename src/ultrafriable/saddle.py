@@ -155,21 +155,14 @@ def phi_j_q(j: int, s: float, table: pr.PrimePowerTable,
 
 def log_Z_q(s, table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None):
     """log Z_q(s, y) with principal-branch logs; real and positive for real s."""
-    if isinstance(s, complex):
-        if s.real <= 0:
-            raise DomainError(f"need Re s > 0, got {s}")
-        t, nu = _table_arrays(table, ctx)
-        tc = t.astype(np.complex128)
-        w = s * tc
-        W = (nu + 1.0) * w
-        return complex(np.sum(np.log1p(-np.exp(-W)) - np.log1p(-np.exp(-w))))
-    if s <= 0:
+    if s.real <= 0:
         raise DomainError(f"need Re s > 0, got {s}")
     t, nu = _table_arrays(table, ctx)
     w = s * t
     W = (nu + 1.0) * w
-    # log(1 - e^{-w}) = log(-expm1(-w)); each Euler factor is >= 1
-    return float(np.sum(np.log(-np.expm1(-W)) - np.log(-np.expm1(-w))))
+    # log(1 - e^{-w}) = log(-expm1(-w)), which keeps its digits as |w| -> 0
+    out = np.sum(np.log(-np.expm1(-W)) - np.log(-np.expm1(-w)))
+    return complex(out) if isinstance(s, complex) else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -303,41 +296,19 @@ def beta_cached(log_x: float, y: int) -> SaddleResult:
 def xi(v: float) -> float:
     """The positive solution of e^xi = 1 + v*xi for v > 1, with xi(1) = 0.
 
-    Asymptotically xi(v) ~ log(v log v); the bracket below is built from
-    that and then sharpened by bisection + Newton.
+    xi is the root of the decreasing log(z / expm1(z)) = -log v.  In logs
+    the target keeps the digits that 1/v rounds away as v -> 1, where
+    xi ~ 2(v - 1).  Past z = 700, where expm1(z) nears overflow, the log
+    is log z - z to double precision.
     """
     if v < 1:
         raise DomainError(f"need v >= 1, got {v}")
     if v == 1:
         return 0.0
-    f = lambda z: math.exp(z) - 1.0 - v * z
-    lo = max(1e-300, math.log(v))
-    hi = math.log(v * (1.0 + math.log(v)) ** 2) + 1.0
-    while f(lo) >= 0.0:
-        lo *= 0.5
-    while f(hi) <= 0.0:
-        hi += 1.0
-    for _ in range(30):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    for _ in range(60):
-        fz = f(z)
-        if abs(fz) <= 1e-14 * (1.0 + v * z):
-            break
-        d = math.exp(z) - v
-        zn = z - fz / d if d != 0 else 0.5 * (lo + hi)
-        if not lo <= zn <= hi:
-            zn = 0.5 * (lo + hi)
-        if f(zn) < 0.0:
-            lo = zn
-        else:
-            hi = zn
-        z = zn
-    return z
+    lv = math.log(v)
+    f = lambda z: math.log(z / math.expm1(z)) if z < 700.0 else math.log(z) - z
+    fp = lambda z: 1.0 / z + 1.0 / math.expm1(-z)
+    return _solve_decreasing(f, fp, -lv, 1e-14 * (1.0 + lv))[0]
 
 
 # ---------------------------------------------------------------------------

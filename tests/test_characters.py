@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,11 +22,7 @@ from ultrafriable import (
     solve_beta,
     w_q,
 )
-from ultrafriable.characters import (
-    character_group,
-    character_sums_from_residues,
-    von_mangoldt_total,
-)
+from ultrafriable.characters import character_group, character_sums_from_residues
 from ultrafriable.counting import ResidueCounts
 
 
@@ -102,6 +99,19 @@ def test_orthogonality_rows():
                 assert abs(s - expect) < 1e-10
 
 
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from((1, 2, 4, 8, 9, 12, 16, 24, 101, 1009)),
+       pick=st.randoms(use_true_random=False), k=st.integers(min_value=0, max_value=10**6))
+def test_values_match_scalar_path(q, pick, k):
+    chi = pick.choice(enumerate_characters(q))
+    ns = np.arange(-2 * q, 3 * q + 1, dtype=np.int64)
+    vals = chi.values(ns)
+    assert vals.tolist() == [chi(int(n)) for n in ns]
+    assert ((vals == 0) == (np.gcd(ns, q) > 1)).all()
+    n = 2**70 + k  # beyond int64: the scalar path reduces mod q first
+    assert chi(n) == chi(n % q)
+
+
 # ---------------------------------------------------------------------------
 # diagnostic sums
 # ---------------------------------------------------------------------------
@@ -165,8 +175,19 @@ def test_s_sum_prime_powers():
     assert abs(got - expect) < 1e-12
 
 
-def test_von_mangoldt_identity(table100):
-    assert von_mangoldt_total(table100) == pytest.approx(table100.psi_y, rel=1e-12)
+def test_s_sum_principal_q1_is_psi():
+    # chi = 1 and n^{-beta} = 1 - O(1e-12 log y): S is the sum of Lambda(n) over n <= y
+    chi0 = enumerate_characters(1)[0]
+    for y in (2, 10, 100, 1000):
+        s = s_sum(0.0, 1e-12, y, chi0)
+        assert s.imag == 0.0
+        assert s.real == pytest.approx(build_table(y).psi_y, rel=1e-10)
+
+
+def test_w_q_rejects_another_modulus(table100):
+    chi = enumerate_characters(5)[1]
+    with pytest.raises(DomainError):
+        w_q(0.0, 0.5, table100, modulus_context(7, table100), chi)
 
 
 def test_d_sum_lemma_band():
@@ -208,6 +229,12 @@ def test_reconstruct_examples(table10, table50):
 def test_reconstruct_noncoprime_rejected(table10):
     with pytest.raises(DomainError):
         reconstruct_progression(100, table10, 2, 4)
+
+
+def test_value_indices_at_noncoprime_rejected():
+    # gcd(2, 12) > 1 has no dlogs row; row -1 would give chi(11) for every chi
+    with pytest.raises(DomainError):
+        character_group(12).value_indices_at(2)
 
 
 def test_orthogonality_all_classes(table50):

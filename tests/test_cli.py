@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ultrafriable.calibration import DATA_FILE, parse_constants
-from ultrafriable.cli import COLUMNS, build_parser, main, parse_grid, parse_x
+from ultrafriable.cli import COLUMNS, build_parser, compute_row, main, parse_grid, parse_x
 
 
 def run_cli(args, capsys):
@@ -257,3 +257,22 @@ def test_sweep_without_residue_class_is_a_row_error(capsys, jobs):
             assert row["status"] == "ok"
         else:
             assert row["variant"] == "T4" and row["status"].startswith("DomainError"), row
+
+
+@pytest.mark.parametrize("mode", ["count", "estimate", "compare"])
+def test_rows_at_x_zero_negative_x_and_q_zero(capsys, mode):
+    zero = compute_row({"mode": mode, "x": 0, "y": 10})
+    assert zero["log_x"] is None
+    if mode == "count":
+        assert zero["status"] == "ok" and zero["exact_value_or_log"] == "0"
+    else:
+        assert zero["status"].startswith("DomainError"), zero["status"]
+    negative = compute_row({"mode": mode, "x": -5, "y": 10})
+    assert negative["log_x"] is None
+    assert negative["status"].startswith("DomainError"), negative["status"]
+    q0 = compute_row({"mode": mode, "x": 100, "y": 10, "q": 0})
+    assert q0["status"].startswith("DomainError"), q0["status"]
+    for args in (["--x", "0", "--y", "10"], ["--x=-5", "--y", "10"],
+                 ["--x", "100", "--y", "10", "--q", "0"]):
+        code, out = run_cli([mode] + args, capsys)
+        assert code == 0 and len(out.strip().splitlines()) == 2

@@ -61,6 +61,15 @@ def test_xi_asymptotic_band():
     assert abs(xi(1e6) - math.log(1e6 * math.log(1e6))) <= 0.5
 
 
+@pytest.mark.parametrize("v", [1 + 1e-6, 1.0001, 1.5, 10, 1e6, 1e9])
+def test_xi_against_mpmath(v):
+    with mp.workdps(50):
+        vm = mp.mpf(v)
+        start = 2 * (vm - 1) if v < 2 else mp.log(vm * mp.log(vm))
+        ref = float(mp.findroot(lambda z: mp.expm1(z) / z - vm, start))
+    assert abs(xi(v) - ref) <= 1e-11 * ref
+
+
 def test_xi_increasing():
     vs = np.geomspace(1.001, 1e9, 60)
     zs = [xi(float(v)) for v in vs]
@@ -240,6 +249,14 @@ def test_log_Z_complex_consistency(table100):
     assert z.real == pytest.approx(a, rel=1e-12)
     with pytest.raises(DomainError):
         log_Z_q(complex(-0.1, 1.0), table100)
+
+
+def test_log_Z_complex_near_zero_against_mpmath(table100):
+    # 1 - e^{-w} cancels as |w| -> 0 unless it is taken as -expm1(-w)
+    for s in (1e-12 + 0j, (1 + 1j) * 1e-9):
+        with mp.workdps(40):
+            ref = complex(logz_mp(mp.mpc(s), table100))
+        assert abs(log_Z_q(s, table100) - ref) <= 1e-13 * abs(ref)
 
 
 def test_Zq_g_identity(table100):
