@@ -40,22 +40,29 @@ COLUMNS = [
 EXACT_PRINT_LIMIT = 10**30
 
 
+class XRangeError(ValueError, argparse.ArgumentTypeError):
+    """An x literal past the float range; argparse prints its message."""
+
+
 def parse_x(text: str) -> int | float:
     """Parse decimal, scientific, or e^k / ek log-space literals.
 
     A plain integer literal stays an exact int, so x above 2^53 is not rounded.
+    A float literal past the float range, such as e^800 or 1e400, raises
+    XRangeError, a ValueError.
     """
     t = text.strip()
     if re.fullmatch(r"[+-]?\d+", t):
         return int(t)
-    if t.startswith("e^"):
-        return math.exp(float(t[2:]))
-    if t and t[0] == "e":
-        try:
-            return math.exp(float(t[1:]))
-        except ValueError:
-            pass
-    return float(t)
+    k = t[2:] if t.startswith("e^") else t[1:] if t[:1] == "e" else None
+    try:
+        v = float(t) if k is None else math.exp(float(k))
+    except OverflowError:
+        v = math.inf
+    if math.isinf(v):
+        raise XRangeError(f"x = {text} is beyond the float range; "
+                          "give x as an integer literal, all of its digits")
+    return v
 
 
 def parse_grid(text: str, parser=parse_x, log_spaced: bool = True) -> list:
@@ -396,7 +403,11 @@ def main(argv=None) -> int:
         } for i in range(n_chars)]
     else:
         variants = (args.variant.split(",") if args.variant else [None])
-        specs = _expand_grids(args, variants)
+        try:
+            specs = _expand_grids(args, variants)
+        except ValueError as exc:  # a malformed grid, or an endpoint past the float range
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
         for s in specs:
             if s["x"] is None or (s["y"] is None and s["mode"] != "count"):
                 print(f"{args.command} needs --x and --y", file=sys.stderr)

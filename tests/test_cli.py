@@ -193,6 +193,29 @@ def test_parse_x_integer_literal_is_exact():
     assert isinstance(parse_x("1e6"), float)
 
 
+def test_x_beyond_float_range_is_a_usage_error(capsys):
+    for text in ("e^800", "e800", "1e400"):
+        with pytest.raises(ValueError, match="integer literal"):
+            parse_x(text)
+    with pytest.raises(SystemExit) as ei:
+        main(["estimate", "--x", "e^800", "--y", "3000"])
+    assert ei.value.code == 2
+    err = capsys.readouterr().err
+    assert "integer literal" in err and "Traceback" not in err
+    assert main(["estimate", "--x-grid", "e^700:e^800:3", "--y", "3000"]) == 2
+    assert "integer literal" in capsys.readouterr().err
+
+
+def test_estimate_row_beyond_float_range():
+    # log x = 921 > 709.78: the saddle is solved from log x, never from exp(log x)
+    x = 10**400
+    est = compute_row({"mode": "estimate", "x": x, "y": 3000, "q": 1, "variant": "T1i"})
+    sad = compute_row({"mode": "saddle", "x": x, "y": 3000})
+    assert est["status"] == "ok" and sad["status"] == "ok"
+    assert est["beta"] == sad["beta"] and 0.1 < est["beta"] < 0.2
+    assert math.isfinite(est["est_log_main"]) and est["sigma2"] == sad["sigma2"]
+
+
 def test_parse_grid_keeps_integer_endpoints():
     pts = parse_grid("1000:1000000:4")
     assert pts[0] == 1000 and pts[-1] == 1000000

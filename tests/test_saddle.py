@@ -18,6 +18,7 @@ from ultrafriable import (
     solve_beta,
     xi,
 )
+from ultrafriable import saddle as sd
 from ultrafriable.calibration import load_constants
 from ultrafriable.estimators import L_eps
 from ultrafriable.saddle import phi1_limit_at_zero
@@ -70,6 +71,20 @@ def test_xi_against_mpmath(v):
     assert abs(xi(v) - ref) <= 1e-11 * ref
 
 
+def test_xi_newton_steps_against_mpmath():
+    """At most 10 Newton steps, and 1e-13 relative error from v = 1 + 1e-12 to 1.7e308."""
+    vs = [1 + d for d in np.geomspace(1e-12, 1.0, 25)] + list(np.geomspace(2.0, 1e300, 25))
+    vs += [math.e, 1.7e308]
+    with mp.workdps(40):
+        for v in map(float, vs):
+            z, steps = sd._xi(v)
+            assert steps <= 10, v
+            vm = mp.mpf(v)
+            # e^z = 1 + v z in logs, so that it stays finite for every v
+            ref = mp.findroot(lambda t: t - mp.log1p(vm * t), mp.mpf(z))
+            assert abs(z - ref) <= 1e-13 * ref, v
+
+
 def test_xi_increasing():
     vs = np.geomspace(1.001, 1e9, 60)
     zs = [xi(float(v)) for v in vs]
@@ -109,6 +124,42 @@ def test_beta_regime_error(table10):
     assert "symmetry" in str(ei.value)
 
 
+@pytest.mark.parametrize("y", [3, 30, 200, 3000])
+def test_beta_against_mpmath(y):
+    """beta against an mpmath root of phi_1(beta) = log x, from x = 2 to eta = 1e-9.
+
+    Newton takes at most 10 steps.  The error bound is 1e-12 relative plus
+    the conditioning floor 2^-50 psi(y)/sigma_2: phi_1 is a sum of size
+    psi(y)/2 whose rounding, ~2^-52 psi(y), moves beta by that over
+    sigma_2 = -phi_1'.  The floor takes over below eta ~ 1e-3, where
+    beta ~ eta log x/(2 sigma_2) makes its condition number ~2/eta.
+    """
+    table = build_table(y)
+    with mp.workdps(30):
+        terms = [(mp.log(p), nu + 1) for p, nu, _ in table.entries]
+
+        def phi1_mp(s):
+            return mp.fsum(lp / mp.expm1(s * lp) - m * lp / mp.expm1(m * s * lp)
+                           for lp, m in terms)
+
+        for lx in [math.log(2)] + [table.psi_y / (2 + eta) for eta in (1.0, 1e-3, 1e-9)]:
+            if lx < math.log(2):
+                continue
+            res = solve_beta(None, table, log_x=lx)
+            assert res.iterations <= 10, lx
+            b = mp.mpf(res.sigma)
+            ref = mp.findroot(lambda s: phi1_mp(s) - lx, (b, b * (1 + mp.mpf("1e-6"))))
+            bound = 1e-12 * ref + 2.0**-50 * table.psi_y / res.sigma_j[2]
+            assert abs(res.sigma - ref) <= bound, (lx, float(abs(res.sigma / ref - 1)))
+
+
+def test_solve_beta_from_log_x(table100):
+    a = solve_beta(10**6, table100)
+    assert solve_beta(None, table100, log_x=math.log(10**6)) == a
+    with pytest.raises(DomainError):
+        solve_beta(None, table100, log_x=0.5)
+
+
 def test_phi1_limit_and_monotone(table100):
     lim = phi1_limit_at_zero(table100)
     assert lim == pytest.approx(table100.psi_y / 2, rel=1e-12)
@@ -143,6 +194,16 @@ def test_solve_alpha_residual():
     res = solve_alpha(10**6, 100)
     assert res.kind == "ALPHA"
     assert res.residual <= 1e-10
+
+
+def test_alpha_newton_steps():
+    # the start 1 - xi(u)/log y, or pi(y)/(log x + pi(y)/2) where that is <= 0
+    for y in (2, 3, 5, 30, 100, 1000, 10**4, 10**6):
+        for lx in (math.log(y), 2 * math.log(y), 10.0, 30.0, 100.0, 300.0, 700.0):
+            lx = max(lx, math.log(y) + 1e-9)
+            res = solve_alpha(math.exp(lx), y)
+            assert res.iterations <= 10, (y, lx)
+            assert res.residual <= 1e-13 * max(1.0, lx) / lx, (y, lx)
 
 
 def test_alpha_at_x_equal_y():
