@@ -119,7 +119,7 @@ def calibrate_t1(fast: bool = False) -> dict[str, float]:
     return {"t1_band_C": ratio_max * _HEADROOM, "t1_q1_u_C": q1_C * _HEADROOM}
 
 
-def calibrate_t2(fast: bool = False) -> dict[str, float]:
+def calibrate_t2() -> dict[str, float]:
     ratio_max = 0.0
     for y in (500, 1000, 2000):
         table = pr.build_table(y)
@@ -139,7 +139,7 @@ def _progression_devs(x: float, table: pr.PrimePowerTable, q: int) -> list[float
     return [abs(rc[a] * phi / uq - 1.0) for a in range(q) if math.gcd(a, q) == 1]
 
 
-def calibrate_t4_t5(fast: bool = False) -> dict[str, float]:
+def calibrate_t4_t5() -> dict[str, float]:
     table = pr.build_table(100)
     dev_max = 0.0
     for q in (3, 7, 11):
@@ -157,7 +157,7 @@ def calibrate_t4_t5(fast: bool = False) -> dict[str, float]:
     return out
 
 
-def calibrate_r6(fast: bool = False) -> dict[str, float]:
+def calibrate_r6() -> dict[str, float]:
     table = pr.build_table(50)
     x = math.exp(25)
     worst = 0.0
@@ -169,7 +169,7 @@ def calibrate_r6(fast: bool = False) -> dict[str, float]:
     return {"r6_dev_band": worst * _HEADROOM}
 
 
-def calibrate_t3(fast: bool = False) -> dict[str, float]:
+def calibrate_t3() -> dict[str, float]:
     """Largest admissible c1 for the theta=1 ceiling, halved for headroom."""
     table = pr.build_table(100)
     c1_cap = 5.0
@@ -199,10 +199,10 @@ def run_calibration(fast: bool = False) -> dict[str, float]:
     out.update(calibrate_saddle_bands(fast))
     out.update(calibrate_delta_remark(fast))
     out.update(calibrate_t1(fast))
-    out.update(calibrate_t2(fast))
-    out.update(calibrate_t4_t5(fast))
-    out.update(calibrate_r6(fast))
-    out.update(calibrate_t3(fast))
+    out.update(calibrate_t2())
+    out.update(calibrate_t4_t5())
+    out.update(calibrate_r6())
+    out.update(calibrate_t3())
     return out
 
 
@@ -224,10 +224,7 @@ def parse_constants(text: str) -> dict[str, float]:
     return out
 
 
-def load_constants(path: str | None = None) -> dict[str, float]:
-    """Read the frozen constants, defaulting to the packaged data file."""
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
-            return parse_constants(f.read())
+def load_constants() -> dict[str, float]:
+    """Read the frozen constants from the packaged data file."""
     ref = resources.files("ultrafriable").joinpath(f"data/{DATA_FILE}")
     return parse_constants(ref.read_text(encoding="utf-8"))

@@ -65,7 +65,7 @@ def parse_x(text: str) -> int | float:
     return v
 
 
-def parse_grid(text: str, parser=parse_x, log_spaced: bool = True) -> list:
+def parse_grid(text: str, parser=parse_x) -> list:
     """A comma list, or lo:hi:n expanded log-spaced.
 
     The endpoints are the parsed lo and hi themselves, not exp(log(lo)),
@@ -78,11 +78,8 @@ def parse_grid(text: str, parser=parse_x, log_spaced: bool = True) -> list:
             raise ValueError("grid needs n >= 1")
         if n == 1:
             return [lo]
-        if log_spaced:
-            llo, lhi = math.log(lo), math.log(hi)
-            inner = [math.exp(llo + i * (lhi - llo) / (n - 1)) for i in range(1, n - 1)]
-        else:
-            inner = [lo + i * (hi - lo) / (n - 1) for i in range(1, n - 1)]
+        llo, lhi = math.log(lo), math.log(hi)
+        inner = [math.exp(llo + i * (lhi - llo) / (n - 1)) for i in range(1, n - 1)]
         return [lo, *inner, hi]
     return [parser(p) for p in text.split(",") if p.strip()]
 
@@ -90,13 +87,7 @@ def parse_grid(text: str, parser=parse_x, log_spaced: bool = True) -> list:
 def _fmt(v) -> str:
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, int):
-        return str(v)
     if isinstance(v, float):
-        if v != v:
-            return "nan"
         return format(v, ".12g")
     return str(v)
 
@@ -256,7 +247,7 @@ def _estimate_and_exact(variant, x, table, ctx, a, spec, mode):
     elif variant == "R6":
         if a is None:
             raise DomainError("R6 needs a residue class --a")
-        est = es.estimate_noncoprime(x, table, ctx.q, a, eps, c0, c1)
+        est = es.estimate_noncoprime(x, table, ctx.q, a, eps, c1)
         exact = ct.count_ultrafriable_residues(x, table, ctx.q)[a] if need_exact else 0
     else:
         raise DomainError(f"unknown variant {variant!r}")

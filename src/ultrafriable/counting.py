@@ -1,59 +1,57 @@
 """Exact counting of ultrafriable and friable integers.
 
-The y-ultrafriable integers coprime to q are exactly the divisors of
-N = prod p^nu_p over p <= y, p ∤ q, so counting them up to x is a
-subset-product count.  One meet-in-the-middle core (the Horowitz-Sahni
-split) serves the plain and the residue-class engine alike:
+Every exact count here is one of two queries on one engine, the (p, nu_p)
+rows of N = prod p^nu_p (``_DivisorRows``): ``count_le(bound)``, the number
+of divisors of N that are <= bound, and ``classes_le(bound, q)``, those
+divisors counted per class mod q.  The y-ultrafriable n coprime to q are the
+divisors of N over p <= y, p ∤ q.  A y-friable n <= x whose prime factors
+are all <= sqrt(x) divides N_x = prod p^nu_p(x) over p <= min(y, sqrt(x)),
+where p^nu_p(x) <= x < p^(nu_p(x)+1); every other y-friable n <= x is p * m
+for one prime sqrt(x) < p <= y and some m <= x // p < p (Buchstab's
+identity), and those are counted in one numpy pass over the primes: the m
+coprime to q by inclusion-exclusion over rad(q), or the m in the class
+a / p mod q (a / p mod q / p when p divides q and a).
 
-* the (p, nu_p) rows are dealt to two interleaved halves, and each half's
-  divisors <= x are listed as a sorted int64 array A or B;
-* every pair a * b <= x has a <= sqrt(x) or b <= sqrt(x), so only the list
-  entries up to sqrt(x) are searched;
-* plain count -- ``searchsorted(B, x // a)`` summed over a <= sqrt(x), and
+Both queries run one meet-in-the-middle core (the Horowitz-Sahni split) at
+bounds 1 <= X < 2^63:
+
+* the rows are dealt to two interleaved halves, and each half's divisors
+  <= X are listed as a sorted int64 array A or B;
+* every pair a * b <= X has a <= sqrt(X) or b <= sqrt(X), so only the list
+  entries up to sqrt(X) are searched;
+* plain count -- ``searchsorted(B, X // a)`` summed over a <= sqrt(X), and
   the same with the lists swapped, minus the pairs counted twice;
-* residue count -- one list is grouped by class r mod q and each class is
-  searched by the other list's entries up to sqrt(x), whose counts are
+* class count -- one list is grouped by class r mod q and each class is
+  searched by the other list's entries up to sqrt(X), whose counts are
   summed per class s (``np.add.reduceat``) into class r * s mod q; when
   there are few pairs per class, the products are listed and binned.
 
 A half's list is built from its own two halves in the same way, down to
 rows with at most ``_DIRECT_TAU`` divisors, which are listed prime by prime.
-The length of every list follows from a searchsorted count before the list
-is allocated, and a list longer than ``LIST_CAP`` (2^25 entries, 256 MB of
-int64) raises ResourceError instead.  Every product formed is at most x, so
-a bound below 2^63 never overflows int64.
+Each list's length is counted before it is allocated, and a list longer
+than ``LIST_CAP`` (2^25 entries, 256 MB of int64) raises ResourceError.
+Every product formed is at most X, so none overflows int64.
 
-The same core counts friable integers.  A y-friable n <= x whose prime
-factors are all <= sqrt(x) divides N_x = prod p^nu_p(x) over the primes
-p <= min(y, sqrt(x)), where p^nu_p(x) <= x < p^(nu_p(x)+1), so those n are
-the divisors <= x of N_x: a plain count over the rows (p, nu_p(x)) with
-p ∤ q, or a residue count over all of them.  Every other y-friable n <= x
-is p * m for one prime sqrt(x) < p <= y and some m <= x // p < p
-(Buchstab's identity), and those are counted in one numpy pass over the
-primes: the m coprime to q by inclusion-exclusion over rad(q), or the m in
-the class a / p mod q (a / p mod q / p when p divides q and a).
+``count_le`` answers tau(N) for a bound >= N, and the divisor symmetry of N
+reflects a bound >= sqrt(N): the count is tau(N) minus the number of
+divisors below N/bound.  A bound still >= 2^63 splits off the largest
+remaining prime power into its nu + 1 cofactor bounds, each counted the
+same way.  The split is planned on an explicit stack from integer bounds
+before any list is built; more than ``SPLIT_CAP`` (2^12) sub-bounds raise
+ResourceError.  ``classes_le`` answers a bound >= N from the exact full
+residue vector, built once per (rows, q), and refuses bounds in [2^63, N).
+Bounds given as reals are floored once on entry (counts are step functions
+of x); a negative bound is a DomainError.
 
-All comparisons are exact integer comparisons; bounds given as reals are
-floored once on entry (counts are step functions of x).
-
-When x >= sqrt(N) the divisor symmetry of N around sqrt(N) is applied
-first: the count up to x equals tau(N) minus the number of divisors
-strictly below N/x.  A plain bound that is still >= 2^63 after the
-reflection splits off the largest remaining prime power and counts each of
-its nu + 1 cofactor bounds the same way, symmetry included.  The residue
-engine applies no symmetry: it answers a bound >= N from the exact full
-residue vector and raises ResourceError for bounds in [2^63, N).
-
-Measured on a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4), best of three
-fresh engines: a plain count at y = 200 takes 19 ms at x = e^24, 75 ms at
-e^30 and 0.6 s at e^40 (peak RSS 0.24 GB); at y = 100 it takes 3.4 ms at
-x = e^45, above 2^63, and at y = 300, x = e^35 about 2.2 s and 0.5 GB.  A
-residue vector at y = 100, x = e^30 takes 6 ms for q = 7, 23 ms for q = 210
-and 0.16 s for q = 1001.  A friable count at x = 10^9 (prime table built,
-one call) takes 0.2 s at y = 1000 and about 2 s and 0.4 GB peak RSS from y = 31622 to
-10^6; one class mod 1009 there takes about 6 s and 0.9 GB.  The sieve behind
-``naive_oracle`` builds in 28 ms at 10^6 and 0.6 s at 10^7 (84 MB traced
-peak), best of three.
+Measured on a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4): a plain count at
+y = 200 takes 19 ms at x = e^24, 75 ms at e^30 and 0.6 s at e^40 (0.24 GB
+peak RSS), and 2.2 s with 0.5 GB at y = 300, x = e^35.  Past 2^63, y = 150
+at e^50 (split 13 levels deep) takes 0.5 s; the splits of y = 300 at e^60
+and of y = 3000 at 10^400 are refused in under 10 ms.  A residue vector at
+y = 100, x = e^30 takes 6 ms for q = 7 and 0.16 s for q = 1001.  A friable
+count at x = 10^9 takes 0.2 s at y = 1000 and about 2 s and 0.4 GB from
+y = 31622 to 10^6; one class mod 1009 there about 6 s and 0.9 GB.  The
+sieve behind ``naive_oracle`` builds in 0.6 s at 10^7 (84 MB traced peak).
 """
 
 from __future__ import annotations
@@ -76,17 +74,30 @@ _DIRECT_TAU = 1 << 12  # rows with at most this many divisors are listed directl
 _BLOCK = 1 << 20  # entries per block of a temporary array
 _DIRECT_PAIRS = 1 << 11  # pairs per class up to which binning the products beats the class loop
 _INT64_LIMIT = 1 << 63
+SPLIT_CAP = 1 << 12  # sub-bounds one plain count may plan past 2^63
 
 
 def _floor_bound(x) -> int:
-    """Exact floor of a nonnegative real/int/Fraction bound."""
+    """Exact floor of a real/int/Fraction bound x >= 0."""
     if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return x.numerator // x.denominator
-    if x != x or math.isinf(x):
+        X = x
+    elif isinstance(x, Fraction):
+        X = x.numerator // x.denominator
+    elif x != x or math.isinf(x):
         raise DomainError(f"bound must be finite, got {x}")
-    return int(math.floor(x))
+    else:
+        X = int(math.floor(x))
+    if X < 0:
+        raise DomainError(f"need x >= 0, got {x}")
+    return X
+
+
+def _friable_bound(x) -> int:
+    """The floored bound of an exact friable count, at most FRIABLE_X_BOUND."""
+    X = _floor_bound(x)
+    if X > FRIABLE_X_BOUND:
+        raise ResourceError(f"x={x} exceeds the exact friable-count bound {FRIABLE_X_BOUND}")
+    return X
 
 
 # ---------------------------------------------------------------------------
@@ -228,22 +239,38 @@ def _halves(rows, X: int) -> tuple[np.ndarray, np.ndarray]:
     return _divisors_le(left, X), _divisors_le(right, X)
 
 
-def _count_divisors(rows, N: int, tau: int, bound: int) -> int:
-    """Divisors <= bound of N = prod p^nu over rows, where tau = tau(N)."""
-    if bound < 1:
-        return 0
-    if bound >= N:
-        return tau
-    if bound * bound >= N:
-        # symmetry: divisors > bound pair with divisors < N/bound
-        return tau - _count_divisors(rows, N, tau, (N - 1) // bound)
-    if bound < _INT64_LIMIT:
-        return _count_pairs(*_halves(rows, bound), bound)
-    p, nu = rows[-1]
-    rest, N, tau = rows[:-1], N // p ** nu, tau // (nu + 1)
-    return sum(_count_divisors(rest, N, tau, bound // p ** e) for e in range(nu + 1))
+# ---------------------------------------------------------------------------
+# the engine: (p, nu) rows and their two queries, divisors <= a bound and
+# divisors <= a bound per class mod q
+# ---------------------------------------------------------------------------
+
+def _split_plan(rows, N: int, tau: int, bound: int) -> tuple[int, list]:
+    """(total, leaves): the divisors <= bound of N number total plus, over the
+    leaves (sign, k, b), sign times the divisors <= b < 2^63 of rows[:k]."""
+    total, leaves = 0, []
+    stack = [(1, len(rows), N, tau, bound)]
+    for _ in range(SPLIT_CAP + 1):
+        if not stack:
+            return total, leaves
+        sign, k, N, tau, bound = stack.pop()
+        if bound < 1:
+            continue
+        if bound * bound >= N:
+            total += sign * tau
+            if bound >= N:
+                continue
+            # symmetry: divisors > bound pair with divisors < N/bound
+            sign, bound = -sign, (N - 1) // bound
+        if bound < _INT64_LIMIT:
+            leaves.append((sign, k, bound))
+            continue
+        p, nu = rows[k - 1]
+        N, tau = N // p ** nu, tau // (nu + 1)
+        stack += [(sign, k - 1, N, tau, bound // p ** e) for e in range(nu + 1)]
+    raise ResourceError(f"a bound past 2^63 splits into more than {SPLIT_CAP} sub-bounds")
 
 
+@lru_cache(maxsize=64)
 def _full_residues(rows, q: int) -> tuple[int, ...]:
     """Residue counts mod q of all divisors of prod p^nu over rows, exact Python ints."""
     vec = [0] * q
@@ -259,8 +286,17 @@ def _full_residues(rows, q: int) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def _check_modulus(q: int):
+    """A residue vector needs 1 <= q <= RESIDUE_Q_BOUND."""
+    if q < 1:
+        raise DomainError(f"need q >= 1, got {q}")
+    if q > RESIDUE_Q_BOUND:
+        raise ResourceError(f"q={q} exceeds the residue-vector bound {RESIDUE_Q_BOUND}")
+
+
 class _DivisorRows:
-    """The (p, nu_p) rows of N = prod p^nu_p, ascending in p.
+    """The (p, nu_p) rows of N = prod p^nu_p, ascending in p, and the two
+    exact queries on their divisors.
 
     Each query lists the divisors of the two halves of the rows afresh, so
     construction computes only N and tau(N).
@@ -273,10 +309,27 @@ class _DivisorRows:
         self.N = math.prod(p ** nu for p, nu in self.rows)
         self.tau = math.prod(nu + 1 for _, nu in self.rows)
 
+    def count_le(self, bound: int) -> int:
+        """Number of divisors of N that are <= bound (exact)."""
+        total, leaves = _split_plan(self.rows, self.N, self.tau, bound)
+        for sign, k, b in leaves:
+            total += sign * _count_pairs(*_halves(self.rows[:k], b), b)
+        return total
 
-# ---------------------------------------------------------------------------
-# plain divisor counting
-# ---------------------------------------------------------------------------
+    def classes_le(self, bound: int, q: int) -> tuple[int, ...]:
+        """Divisors of N that are <= bound, counted per class mod q (exact).
+
+        A bound >= N gives the full vector, built once per (rows, q); a
+        bound in [2^63, N) raises ResourceError.
+        """
+        if bound >= self.N:
+            return _full_residues(self.rows, q)
+        if bound < 1:
+            return (0,) * q
+        if bound >= _INT64_LIMIT:
+            raise ResourceError("residue counting bound exceeds the exact int64 range")
+        return tuple(_residue_pairs(*_halves(self.rows, bound), bound, q).tolist())
+
 
 class DivisorCounter(_DivisorRows):
     """Counts divisors of N = prod p^nu_p (p <= y, p ∤ q) below a bound."""
@@ -285,19 +338,12 @@ class DivisorCounter(_DivisorRows):
         pset = set(q_primes)
         super().__init__((p, n) for p, n in zip(table.primes, table.nu) if p not in pset)
 
-    def count_le(self, bound: int) -> int:
-        """Number of divisors of N that are <= bound (exact)."""
-        return _count_divisors(self.rows, self.N, self.tau, bound)
-
     def count_below(self, num: int, den: int = 1) -> int:
         """Number of divisors d with d * den < num (strict left limit)."""
         if num <= den:
             return 0
         return self.count_le((num - 1) // den)
 
-# ---------------------------------------------------------------------------
-# residue-class divisor counting
-# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class ResidueCounts:
@@ -320,29 +366,12 @@ class ResidueDivisorCounter(_DivisorRows):
     """Residue-class version of DivisorCounter over all primes p <= y."""
 
     def __init__(self, table: pr.PrimePowerTable, q: int):
-        if q < 1:
-            raise DomainError(f"need q >= 1, got {q}")
-        if q > RESIDUE_Q_BOUND:
-            raise ResourceError(f"q={q} exceeds the residue-vector bound {RESIDUE_Q_BOUND}")
+        _check_modulus(q)
         super().__init__(zip(table.primes, table.nu))
         self.q = q
-        self._full: tuple[int, ...] | None = None
-
-    def full_counts(self) -> tuple[int, ...]:
-        """Residue counts of all divisors of N, exact Python ints, built once."""
-        if self._full is None:
-            self._full = _full_residues(self.rows, self.q)
-        return self._full
 
     def count_le(self, bound: int) -> ResidueCounts:
-        if bound >= self.N:
-            return ResidueCounts(self.q, self.full_counts())
-        if bound < 1:
-            return ResidueCounts(self.q, (0,) * self.q)
-        if bound >= _INT64_LIMIT:
-            raise ResourceError("residue counting bound exceeds the exact int64 range")
-        out = _residue_pairs(*_halves(self.rows, bound), bound, self.q)
-        return ResidueCounts(self.q, tuple(out.tolist()))
+        return ResidueCounts(self.q, self.classes_le(bound, self.q))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +395,11 @@ def _residue_vector(bound: int, y: int, q: int) -> ResidueCounts:
 
 
 def get_counter(table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None) -> DivisorCounter:
-    return _counter(table.y, ctx.prime_divisors if ctx is not None else ())
+    """The cached plain engine for (y, q); the counting identities need P+(q) <= y."""
+    if ctx is None:
+        return _counter(table.y, ())
+    ctx.require_p_plus_le_y()
+    return _counter(table.y, ctx.prime_divisors)
 
 
 def get_residue_counter(table: pr.PrimePowerTable, q: int) -> ResidueDivisorCounter:
@@ -384,10 +417,6 @@ def count_ultrafriable(x, table: pr.PrimePowerTable, ctx: pr.ModulusContext | No
     exceeding x.  x may be an int, float or Fraction; it is floored exactly.
     """
     bound = _floor_bound(x)
-    if bound < 0:
-        raise DomainError(f"need x >= 0, got {x}")
-    if ctx is not None:
-        ctx.require_p_plus_le_y()
     return get_counter(table, ctx).count_le(bound)
 
 
@@ -401,17 +430,12 @@ def count_ultrafriable_below(num: int, table: pr.PrimePowerTable,
     """
     if num < 0 or den < 1:
         raise DomainError("need num >= 0 and den >= 1")
-    if ctx is not None:
-        ctx.require_p_plus_le_y()
     return get_counter(table, ctx).count_below(num, den)
 
 
 def count_ultrafriable_residues(x, table: pr.PrimePowerTable, q: int) -> ResidueCounts:
     """Exact counts of y-ultrafriable n <= x in every residue class mod q."""
-    bound = _floor_bound(x)
-    if bound < 0:
-        raise DomainError(f"need x >= 0, got {x}")
-    return _residue_vector(bound, table.y, q)
+    return _residue_vector(_floor_bound(x), table.y, q)
 
 
 def character_sum(x, table: pr.PrimePowerTable, chi) -> complex:
@@ -466,16 +490,10 @@ def count_friable(x, y: int, q: int = 1) -> int:
     A divisor count of N_x over the primes p <= min(y, sqrt(x)), p ∤ q,
     plus Buchstab's tail over sqrt(x) < p <= y (see the module docstring).
     """
-    X = _floor_bound(x)
-    if X < 0:
-        raise DomainError(f"need x >= 0, got {x}")
-    if X > FRIABLE_X_BOUND:
-        raise ResourceError(f"x={x} exceeds the exact friable-count bound {FRIABLE_X_BOUND}")
-    if q < 1:
-        raise DomainError(f"need q >= 1, got {q}")
+    X = _friable_bound(x)
+    q_primes = sorted(pr.factorize(q))
     if X == 0:
         return 0
-    q_primes = sorted(pr.factorize(q))
     if q_primes and q_primes[-1] > y:
         raise PreconditionError(f"P+(q)={q_primes[-1]} exceeds y={y}")
     if y < 2:
@@ -483,8 +501,7 @@ def count_friable(x, y: int, q: int = 1) -> int:
     if y >= X:
         return _coprime_upto(X, q_primes)
     rows, tail = _friable_head(X, y)
-    d = _DivisorRows((p, nu) for p, nu in rows if p not in q_primes)
-    count = _count_divisors(d.rows, d.N, d.tau, X)
+    count = _DivisorRows((p, nu) for p, nu in rows if p not in q_primes).count_le(X)
     if len(tail):
         tail = tail[np.isin(tail, q_primes, invert=True)]
         count += int(_coprime_upto(X // tail, q_primes).sum())
@@ -494,20 +511,12 @@ def count_friable(x, y: int, q: int = 1) -> int:
 def count_friable_progression(x, y: int, a: int, q: int) -> int:
     """Exact number of y-friable n <= x with n ≡ a (mod q).
 
-    A residue count of the divisors of N_x over the primes p <= min(y, sqrt(x))
-    (the full residue vector when x >= N_x), plus Buchstab's tail over
-    sqrt(x) < p <= y (see the module docstring).  q > RESIDUE_Q_BOUND raises
-    ResourceError.
+    A residue count of the divisors of N_x over the primes p <= min(y, sqrt(x)),
+    plus Buchstab's tail over sqrt(x) < p <= y (see the module docstring).
+    q > RESIDUE_Q_BOUND raises ResourceError.
     """
-    X = _floor_bound(x)
-    if X < 0:
-        raise DomainError(f"need x >= 0, got {x}")
-    if X > FRIABLE_X_BOUND:
-        raise ResourceError(f"x={x} exceeds the exact friable-count bound {FRIABLE_X_BOUND}")
-    if q < 1:
-        raise DomainError(f"need q >= 1, got {q}")
-    if q > RESIDUE_Q_BOUND:
-        raise ResourceError(f"q={q} exceeds the residue-vector bound {RESIDUE_Q_BOUND}")
+    X = _friable_bound(x)
+    _check_modulus(q)
     if q == 1:
         return count_friable(X, y)
     if X == 0:
@@ -518,8 +527,7 @@ def count_friable_progression(x, y: int, a: int, q: int) -> int:
     if y < 2:
         return int(a == 1)  # only n = 1 has no prime factor
     rows, tail = _friable_head(X, y)
-    count = _full_residues(rows, q)[a] if X >= _DivisorRows(rows).N else \
-        int(_residue_pairs(*_halves(rows, X), X, q)[a])
+    count = _DivisorRows(rows).classes_le(X, q)[a]
     if len(tail):
         # p m ≡ a (mod q) with g = (p, q) in {1, p}: m ≡ (a/g) (p/g)^-1 (mod q/g) if g | a
         g = np.gcd(tail, q)
@@ -588,8 +596,6 @@ def naive_oracle(x, y: int, a: int | None = None, q: int | None = None,
     residue class a mod q.
     """
     X = _floor_bound(x)
-    if X < 0:
-        raise DomainError(f"need x >= 0, got {x}")
     if X > ORACLE_X_BOUND:
         raise ResourceError(f"oracle bound is {ORACLE_X_BOUND}, got x={x}")
     if mode not in ("ultrafriable", "friable"):

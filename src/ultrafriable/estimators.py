@@ -336,7 +336,7 @@ def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCon
 
 
 def estimate_noncoprime(x: float, table: pr.PrimePowerTable, q: int, a: int,
-                        epsilon: float = DEFAULT_EPSILON, c0: float = DEFAULT_C0,
+                        epsilon: float = DEFAULT_EPSILON,
                         c1: float = DEFAULT_C1) -> EstimateBreakdown:
     """Progression estimate for d = (a, q) > 1 in the supported split case.
 
@@ -356,7 +356,8 @@ def estimate_noncoprime(x: float, table: pr.PrimePowerTable, q: int, a: int,
         raise UnsupportedCaseError(f"(q/d, d) = {math.gcd(q // d, d)} > 1; case not treated")
     if any(p > table.y for p in dfac) or d > x:
         raise UnsupportedCaseError(f"d={d} is not a y-ultrafriable integer <= x")
-    regime = pr.classify_regime(x / d, table, epsilon)
+    # an integer x is divided exactly: x / d overflows a float past 1.8e308
+    regime = pr.classify_regime(x // d if isinstance(x, int) else x / d, table, epsilon)
     _require_small_y(regime, "the non-coprime estimate")
     res = sd.beta_cached(math.log(x) - math.log(d), table.y)
     beta = res.sigma

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -299,3 +300,18 @@ def test_rows_at_x_zero_negative_x_and_q_zero(capsys, mode):
                  ["--x", "100", "--y", "10", "--q", "0"]):
         code, out = run_cli([mode] + args, capsys)
         assert code == 0 and len(out.strip().splitlines()) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    {"mode": "count", "x": 10**400, "y": 3000},
+    {"mode": "compare", "x": 10**400, "y": 3000, "q": 1, "variant": "T1i"},
+    {"mode": "estimate", "x": 10**400, "y": 3000, "q": 7, "a": 1, "variant": "T4"},
+    {"mode": "estimate", "x": 10**400, "y": 3000, "q": 6, "a": 2, "variant": "R6"},
+])
+def test_exact_count_past_the_split_budget_is_a_status_row(spec):
+    # 430 rows peeled one by one past 2^63: the plan passes SPLIT_CAP sub-bounds
+    # and is refused before any list is built, as a row status rather than a traceback
+    start = time.perf_counter()
+    row = compute_row(spec)
+    assert time.perf_counter() - start < 1
+    assert row["status"].startswith("ResourceError"), row["status"]

@@ -393,6 +393,7 @@ def test_engine_caches_are_shared(table100):
     (150, 2, 27, 14724237),
     (100, 1, 40, 147708272),
     (100, 1, 45, 273171435),  # above 2^63: split by the largest prime power
+    (150, 1, 50, 40865664237),  # a split 13 levels deep
 ])
 def test_plain_count_anchors(y, q, lx, want):
     t = build_table(y)
@@ -416,6 +417,34 @@ def test_residue_bounds_up_to_int64(table100):
     assert rc.coprime_total() == count_ultrafriable(x, table100, modulus_context(7, table100))
     with pytest.raises(ResourceError):
         count_ultrafriable_residues(2**63, table100, 7)
+
+
+def test_split_past_the_budget_raises_before_counting():
+    # y = 300 at e^60 plans about 186,000 sub-bounds past 2^63; the plan stops at
+    # SPLIT_CAP, before any divisor list is built
+    t = build_table(300)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="sub-bounds"):
+        count_ultrafriable(int(math.exp(60)), t)
+    assert time.perf_counter() - start < 1
+
+
+def test_full_residue_vector_built_once_per_rows_and_modulus(table50):
+    engine = ct.get_residue_counter(table50, 11)
+    ct._full_residues(engine.rows, 11)
+    misses = ct._full_residues.cache_info().misses
+    for x in (engine.N, engine.N + 1, 2 * engine.N, 10**40):
+        assert count_ultrafriable_residues(x, table50, 11).total() == ct.get_counter(table50).tau
+    assert ct._full_residues.cache_info().misses == misses
+
+
+def test_negative_bounds_are_domain_errors(table10):
+    for call in (lambda: count_ultrafriable(-1, table10), lambda: count_ultrafriable(-0.5, table10),
+                 lambda: count_ultrafriable_residues(-1, table10, 7),
+                 lambda: count_friable(-1, 10), lambda: count_friable_progression(-1, 10, 1, 7),
+                 lambda: naive_oracle(-1, 10)):
+        with pytest.raises(DomainError, match="need x >= 0"):
+            call()
 
 
 def test_oversized_list_raises_before_allocating():
