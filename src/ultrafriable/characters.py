@@ -1,109 +1,65 @@
-"""Dirichlet characters mod q via CRT and discrete-log tables.
+"""Dirichlet characters mod q on one grid shared by units and characters.
 
 Representation: q factors as prod p^e; each unit group (Z/p^e)* is cyclic
-with one generator (odd p, and p^e in {2, 4}) or C2 x C_{2^{e-2}} with
-generators -1 and 5 (p = 2, e >= 3).  A character is an exponent vector
-over the generators; values are exact roots of unity indexed in Z/L with
-L the group exponent, and floating point enters only in the final
-complex exponential.  Discrete logs are precomputed per component, O(q)
-storage, which is ample for the supported range q <= 10^4.
+with one generator (odd p, and p^e = 4) or C2 x C_{2^{e-2}} with
+generators -1 and 5 (p = 2, e >= 3).  Each generator g of a component is
+lifted by CRT to the residue g mod p^e, 1 mod q / p^e, so (Z/q)* is the
+grid of exponent vectors t of shape ``orders``, t <-> prod g_i^{t_i} mod q.
+A character is an exponent vector on the same grid; its values are exact
+roots of unity indexed in Z/L with L the group exponent, and floating
+point enters only in the final complex exponential.
 
-Each modulus has one table, built once per ``CharacterGroup``: the unit
-residues, their generator exponents (the discrete-log grid coordinates)
-and the phi(q) characters.  Every value chi(n) is read from that table:
-the row of n mod q gives the exponents, their dot product with the
+Each modulus has one table, built once per ``CharacterGroup`` from one
+enumeration of that grid in C order: row i of ``dlogs`` is the discrete
+logs of the unit ``units[i]`` and the exponents of character i, which is
+``characters()[i]``.  Every value chi(n) is read from that table: the row
+of n mod q gives the discrete logs, their dot product with the
 character's steps t_i L / o_i the value index, and ``roots`` the value,
 one row for a single n and one fancy-indexed pass for an array.  A single
 character sum buckets the residue counts by value index as exact integers
 and touches the L roots of unity only at the end; all phi(q) sums at once
-are one FFT over the grid of shape ``orders``.
+are one FFT of the unit counts reshaped to ``orders``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product
 
 import numpy as np
 
 from . import primes as pr
-from .counting import _INT64_LIMIT, count_ultrafriable_residues
-from .errors import DomainError, ResourceError
-
-CHARACTER_Q_BOUND = 10**4
+from .counting import _INT64_LIMIT, _check_modulus, count_ultrafriable_residues
+from .errors import DomainError
 
 
-def _primitive_root_mod_p(p: int) -> int:
-    if p == 2:
-        return 1
-    fac = sorted(pr.factorize(p - 1))
-    for g in range(2, p):
-        if all(pow(g, (p - 1) // f, p) != 1 for f in fac):
-            return g
-    raise RuntimeError(f"no primitive root found mod {p}")  # unreachable for prime p
-
-
-def _primitive_root_mod_pe(p: int, e: int) -> int:
-    g = _primitive_root_mod_p(p)
-    if e == 1:
-        return g
-    # g lifts to p^e unless g^(p-1) == 1 mod p^2
-    if pow(g, p - 1, p * p) == 1:
-        g += p
-    return g
-
-
-@dataclass(frozen=True)
-class _Component:
-    prime_power: int
-    generators: tuple[int, ...]  # residues mod prime_power
-    orders: tuple[int, ...]
-    dlog: np.ndarray  # row r: exponents of the unit r mod prime_power (rows of non-units are 0)
-
-
-def _powers_mod(g: int, n: int, m: int) -> np.ndarray:
-    """g^k mod m for k = 0 .. n-1."""
-    out = [1] * n
-    for k in range(1, n):
-        out[k] = out[k - 1] * g % m
-    return np.array(out, dtype=np.int64)
-
-
-def _build_component(p: int, e: int) -> _Component:
+def _generators(p: int, e: int) -> list[tuple[int, int]]:
+    """Generators of (Z/p^e)* as residues mod p^e, with their orders."""
     pe = p**e
-    if p == 2 and e == 1:
-        return _Component(2, (), (), np.zeros((2, 0), dtype=np.int64))
-    if p == 2 and e >= 3:
-        o1, o2 = 2, 2 ** (e - 2)
-        dlog = np.zeros((pe, 2), dtype=np.int64)
-        pows = _powers_mod(5, o2, pe)  # the units 5^k; the others are -5^k
-        dlog[pows, 1] = np.arange(o2)
-        dlog[pe - pows, 0] = 1
-        dlog[pe - pows, 1] = np.arange(o2)
-        return _Component(pe, (pe - 1, 5), (o1, o2), dlog)
-    g = _primitive_root_mod_pe(p, e) if p != 2 else 3  # p=2, e=2: (Z/4)* = <3>
-    order = pe - pe // p
-    dlog = np.zeros((pe, 1), dtype=np.int64)
-    dlog[_powers_mod(g, order, pe), 0] = np.arange(order)
-    return _Component(pe, (g,), (order,), dlog)
+    if p == 2:  # <-1> x <5>, where the factor <5> is trivial mod 4 and (Z/2)* is trivial
+        if e == 1:
+            return []
+        return [(pe - 1, 2)] + ([(5, pe // 4)] if e >= 3 else [])
+    fac = pr.factorize(p - 1)
+    g = next(g for g in range(2, p) if all(pow(g, (p - 1) // f, p) != 1 for f in fac))
+    # a primitive root mod p lifts to p^e unless g^(p-1) == 1 mod p^2
+    if e > 1 and pow(g, p - 1, p * p) == 1:
+        g += p
+    return [(g, pe - pe // p)]
 
 
 class CharacterGroup:
     """The full character group mod q with shared evaluation tables."""
 
     def __init__(self, q: int):
-        if q < 1:
-            raise DomainError(f"need q >= 1, got {q}")
-        if q > CHARACTER_Q_BOUND:
-            raise ResourceError(f"q={q} exceeds the character bound {CHARACTER_Q_BOUND}")
+        _check_modulus(q)
         self.q = q
-        comps = []
+        gens = []  # (generator lifted to mod q, its order)
         for p, e in sorted(pr.factorize(q).items()):
-            comps.append(_build_component(p, e))
-        self.components = comps
-        self.orders = tuple(o for c in comps for o in c.orders)
+            pe = p**e
+            lift = q // pe * pow(q // pe, -1, pe)  # 1 mod p^e, 0 mod q / p^e
+            gens += [(((g - 1) * lift + 1) % q, o) for g, o in _generators(p, e)]
+        self.orders = tuple(o for _, o in gens)
         self.exponent = math.lcm(*self.orders) if self.orders else 1
         self.phi_q = math.prod(self.orders) if self.orders else 1
         L = self.exponent
@@ -114,25 +70,23 @@ class CharacterGroup:
         self.roots[quarter] = np.array([1, 1j, -1, -1j])[4 * k[quarter] // L]
         # exponent index of n: sum over generators of t_i * dlog_i(n) * (L / o_i)
         self._weights = np.array([L // o for o in self.orders], dtype=np.int64)
-        # the unit table: residues coprime to q and their generator exponents
-        residues = np.arange(q, dtype=np.int64)
-        self.units = residues[np.gcd(residues, q) == 1]
-        empty = np.zeros((len(self.units), 0), dtype=np.int64)  # q = 1 has no components
-        self.dlogs = np.concatenate([empty] + [c.dlog[self.units % c.prime_power] for c in comps],
-                                    axis=1)
+        # the units prod g_i^{t_i} mod q over the grid of shape orders, in C order
+        units = np.ones(1, dtype=np.int64)
+        for g, o in gens:
+            powers = [1] * o
+            for t in range(1, o):
+                powers[t] = powers[t - 1] * g % q
+            units = (units[:, None] * np.array(powers, dtype=np.int64) % q).ravel()
+        self.units = units % q  # q = 1: the one unit is the residue 0
+        self.dlogs = np.indices(self.orders).reshape(len(self.orders), self.phi_q).T
         self._unit_row = np.full(q, -1, dtype=np.int64)
         self._unit_row[self.units] = np.arange(len(self.units))
-        # each unit's flat position on the C-order grid of shape orders
-        strides = [math.prod(self.orders[i + 1:]) for i in range(len(self.orders))]
-        self._grid_index = self.dlogs @ np.array(strides, dtype=np.int64)
         self._characters: tuple[DirichletCharacter, ...] | None = None
 
     def characters(self) -> list["DirichletCharacter"]:
         """All phi(q) characters in lexicographic exponent order, built once."""
         if self._characters is None:
-            self._characters = tuple(
-                DirichletCharacter(self, exps) for exps in product(*(range(o) for o in self.orders))
-            )
+            self._characters = tuple(DirichletCharacter(self, t) for t in self.dlogs.tolist())
         return list(self._characters)
 
     def value_indices_at(self, n: int) -> np.ndarray:
@@ -140,9 +94,7 @@ class CharacterGroup:
         row = self._unit_row[n % self.q]
         if row < 0:
             raise DomainError(f"need (n, q) = 1, got n={n}, q={self.q}")
-        steps = self.dlogs[row] * self._weights
-        exps = np.indices(self.orders).reshape(len(self.orders), self.phi_q).T
-        return (exps @ steps) % self.exponent
+        return (self.dlogs @ (self.dlogs[row] * self._weights)) % self.exponent
 
     def unit_counts(self, counts) -> np.ndarray:
         """The residue counts at the unit residues, exact: int64 when their
@@ -162,15 +114,13 @@ class CharacterGroup:
     def character_sums(self, counts) -> np.ndarray:
         """sum_a chi(a) * counts[a] for every chi, in ``characters()`` order.
 
-        The unit counts sit on the grid of shape ``orders`` at their
-        discrete logs; the sum for exponent vector t is then the conjugate
-        of the grid's DFT at t.  The principal sum is the exact coprime count.
+        The unit counts, in grid order, reshape to the grid of shape
+        ``orders``; the sum for exponent vector t is then the conjugate of
+        the grid's DFT at t.  The principal sum is the exact coprime count.
         """
         units = self.unit_counts(counts)
-        grid = np.zeros(self.phi_q, dtype=np.complex128)
-        grid[self._grid_index] = units.astype(np.float64)
-        sums = np.conj(np.fft.fftn(grid.reshape(self.orders))).ravel()
-        sums[0] = complex(counts.coprime_total())
+        sums = np.conj(np.fft.fftn(units.astype(np.complex128).reshape(self.orders))).ravel()
+        sums[0] = complex(int(units.sum()))
         return sums
 
 

@@ -273,17 +273,16 @@ def estimate_t2(x: float, y: int, q: int, epsilon: float = DEFAULT_EPSILON) -> E
     table = pr.build_table(y)
     ctx = pr.modulus_context(q, table)
     ctx.require_p_plus_le_y()
-    regime = pr.classify_regime(x, table, epsilon)
-    _require_large_y(regime, "T2")
-    u = regime.u
+    bud = error_budget(x, table, ctx, epsilon)
+    _require_large_y(bud.regime, "T2")
+    u = bud.u
     psi_q_exact = ct.count_friable(x, y, q)
     stated = q * u * math.log(2.0 * u) / (ctx.phi_q * math.sqrt(y) * math.log(y))
-    bud = replace(error_budget(x, table, ctx, epsilon), stated_bound=stated)
     return EstimateBreakdown(
         theorem_tag="T2",
         log_main=math.log(psi_q_exact),
         factors={"psi_q_exact": float(psi_q_exact)},
-        budget=bud,
+        budget=replace(bud, stated_bound=stated),
         flags={"omega_small_vs_sqrt_y": ctx.omega_q <= math.sqrt(y)},
     )
 
@@ -306,8 +305,8 @@ def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCon
             f"(a, q) = {math.gcd(a, ctx.q)} > 1: use estimate_noncoprime for this class"
         )
     ctx.require_p_plus_le_y()
-    regime = pr.classify_regime(x, table, epsilon)
-    u = regime.u
+    bud = error_budget(x, table, ctx, epsilon)
+    regime, u = bud.regime, bud.u
     y = table.y
     if variant == "T4":
         _require_small_y(regime, "T4")
@@ -319,7 +318,6 @@ def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCon
         stated = math.log(ctx.q) / (u**c2 * math.log(y)) + 1.0 / math.log(y)
         q_ok = ctx.q <= math.sqrt(y)
     upsilon_q = ct.count_ultrafriable(x, table, ctx)
-    bud = replace(error_budget(x, table, ctx, epsilon), stated_bound=stated)
     beta = s2 = None
     if regime.small_y:
         res = sd.beta_cached(math.log(x), y)
@@ -328,7 +326,7 @@ def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCon
         theorem_tag=variant,
         log_main=math.log(upsilon_q) - math.log(ctx.phi_q),
         factors={"upsilon_q_exact": float(upsilon_q), "phi_q": float(ctx.phi_q)},
-        budget=bud,
+        budget=replace(bud, stated_bound=stated),
         beta=beta,
         sigma2=s2,
         flags={"q_in_theorem_range": bool(q_ok)},

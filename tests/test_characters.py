@@ -309,6 +309,32 @@ def test_all_character_sums_in_characters_order(q, pick):
         assert abs(s - loop_character_sum(rc, chi)) <= 1e-9 * max(1, rc.total())
 
 
+@pytest.mark.parametrize("q", TABLE_QS + (9240, 9973))
+def test_grid_is_the_character_group(q):
+    """The table's units are (Z/q)*, and its phi(q) characters are distinct
+    homomorphisms into Z/L, principal first: exact value indices throughout."""
+    group = character_group(q)
+    L, chars = group.exponent, group.characters()
+    assert sorted(group.units.tolist()) == [a for a in range(q) if math.gcd(a, q) == 1]
+    rng = random.Random(q)
+    sample = []
+    while len(sample) < 24:
+        n = rng.randrange(1, 10**6)
+        if math.gcd(n, q) == 1:
+            sample.append(n)
+    at = {n: group.value_indices_at(n) for n in sample}
+    for m, n in zip(sample[::2], sample[1::2]):
+        assert np.array_equal((at[m] + at[n]) % L, group.value_indices_at(m * n))
+    # 24 random units generate (Z/q)* unless all miss a generator of one
+    # cyclic factor, so characters equal on them are equal
+    assert len(np.unique(np.stack([at[n] for n in sample], axis=1), axis=0)) == group.phi_q
+    for chi in rng.sample(chars, min(len(chars), 16)):
+        for n in sample[:4]:
+            assert at[n][chi.index] == chi.value_index(n)
+    assert chars[0].is_principal and chars[0].index == 0
+    assert all(at[n][0] == 0 for n in sample)
+
+
 @settings(max_examples=20, deadline=None)
 @given(q=st.sampled_from((3, 8, 12, 101)),
        counts=st.lists(st.integers(min_value=0, max_value=2**80), min_size=101, max_size=101))

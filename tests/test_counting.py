@@ -7,10 +7,11 @@ import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ultrafriable import (
@@ -214,22 +215,29 @@ def test_tracer_patches_existing_names():
     root = Path(__file__).resolve().parents[1]
     code = ("from tracing import Tracer\n"
             "from ultrafriable import counting as ct, primes as pr\n"
+            "from ultrafriable import characters as ch, estimators as es\n"
             "tracer = Tracer()\n"
             "tracer.install()\n"
             "t = pr.build_table(30)\n"
             "print(ct.count_friable(10**4, 30), ct.count_friable_progression(10**4, 30, 1, 7),\n"
             "      ct.get_counter(t).count_le(10**4), ct.get_residue_counter(t, 7).count_le(10**4)[1])\n"
+            "r = ch.reconstruct_progression(10**4, t, 3, 7)\n"
+            "d = es.t3_bound(10**4, t, pr.modulus_context(7, t), ch.enumerate_characters(7)[1])\n"
+            "print(round(r.real), 0 <= d.exact_ratio <= 1)\n"
             "m = tracer.layer_metrics()\n"
-            "print(m['counting.engine_builds'], m['counting.friable_s'] > 0)\n")
+            "print(m['counting.engine_builds'], m['counting.friable_s'] > 0,\n"
+            "      m['characters.group_misses'], m['characters.chi_evals'] > 0)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(root / d) for d in ("src", "bench")))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    counts, metrics = proc.stdout.strip().splitlines()
+    counts, characters, metrics = proc.stdout.strip().splitlines()
     assert counts.split() == [str(naive_oracle(10**4, 30, mode="friable")),
                               str(naive_oracle(10**4, 30, a=1, q=7, mode="friable")),
                               str(naive_oracle(10**4, 30)), str(naive_oracle(10**4, 30, a=1, q=7))]
-    assert metrics == "2.0 True"
+    assert characters == f"{naive_oracle(10**4, 30, a=3, q=7)} True"
+    # one character group built, its sums counted, under the swapped CharacterGroup
+    assert metrics == "2.0 True 1.0 True"
 
 
 def test_character_sum_examples(table10):
@@ -494,6 +502,36 @@ def test_bounds_above_int64_match_powers_of_two_split(y, lx):
     odd = modulus_context(2, t)
     assert count_ultrafriable(x, t) == \
         sum(count_ultrafriable(x // 2**e, t, odd) for e in range(t.nu[0] + 1))
+
+
+def test_lowered_int64_limit_splits_at_oracle_scale():
+    # the harness below is vacuous unless the plan reads the patched limit
+    rows = ct.get_counter(build_table(89)).rows
+    N, tau = math.prod(p ** nu for p, nu in rows), math.prod(nu + 1 for _, nu in rows)
+    with mock.patch.object(ct, "_INT64_LIMIT", 50):
+        _, leaves = ct._split_plan(rows, N, tau, 10**5)
+    assert len(leaves) > 1000 and all(b < 50 for _, _, b in leaves)
+
+
+@seed(20)
+@settings(max_examples=50, deadline=None)
+@given(limit=st.sampled_from((50, 300, 2000, 10**4, 10**5)),
+       qy=st.sampled_from((1, 2, 6, 7, 30, 210)).flatmap(lambda q: st.tuples(
+           st.just(q), st.integers(min_value=max(factorize(q), default=2), max_value=89))),
+       pick=st.randoms(use_true_random=True))
+def test_split_and_reflection_exact_at_oracle_scale(limit, qy, pick):
+    # with the int64 limit lowered, plain and friable counts at x < 10^6 take
+    # the split past the limit and its reflections; each leaf must stay exact.
+    # The lowered limit also multiplies the planned sub-bounds (up to about
+    # 77,000 at limit 50, y = 89), so the budget is raised with it.
+    q, y = qy
+    x = pick.randrange(1, 10**6)  # uniform: the split needs x well above the limit
+    t = build_table(y)
+    with mock.patch.object(ct, "_INT64_LIMIT", limit), mock.patch.object(ct, "SPLIT_CAP", 1 << 17):
+        plain = count_ultrafriable(x, t, modulus_context(q, t))
+        friable = count_friable(x, y, q)
+    assert plain == naive_oracle(x, y, q=q)
+    assert friable == naive_oracle(x, y, q=q, mode="friable")
 
 
 @settings(max_examples=40, deadline=None)
