@@ -174,23 +174,18 @@ def calibrate_t3() -> dict[str, float]:
     table = pr.build_table(100)
     c1_cap = 5.0
     c1_min = c1_cap
-    xs = (math.exp(20), math.exp(30), math.exp(40))
-    for x in xs:
-        regime = pr.classify_regime(x, table)
-        u = regime.u
-        lu4 = math.log(u) ** 4
-        inv_y = 1.0 / es.Y_eps(table.y)
+    inv_y = 1.0 / es.Y_eps(table.y)
+    for x in (math.exp(20), math.exp(30), math.exp(40)):
         for q in (3, 5, 7, 8, 11):
-            # Upsilon_q: the coprime classes of the residue vector the sums use
-            upsilon_q = ct.count_ultrafriable_residues(x, table, q).coprime_total()
+            ctx = pr.modulus_context(q, table)
             for chi in ch.enumerate_characters(q):
                 if chi.is_principal:
                     continue
-                s = ct.character_sum(x, table, chi)
-                ratio = abs(s) / upsilon_q
+                diag = es.t3_bound(x, table, ctx, chi)
+                ratio, u = diag.exact_ratio, diag.u
                 if ratio <= inv_y:
                     continue
-                c1_min = min(c1_min, -math.log(ratio - inv_y) * (1.0 + lu4) / u)
+                c1_min = min(c1_min, -math.log(ratio - inv_y) * (1.0 + math.log(u) ** 4) / u)
     return {"t3_c1": c1_min / _HEADROOM}
 
 

@@ -83,11 +83,11 @@ class CharacterGroup:
         self._unit_row[self.units] = np.arange(len(self.units))
         self._characters: tuple[DirichletCharacter, ...] | None = None
 
-    def characters(self) -> list["DirichletCharacter"]:
+    def characters(self) -> tuple["DirichletCharacter", ...]:
         """All phi(q) characters in lexicographic exponent order, built once."""
         if self._characters is None:
             self._characters = tuple(DirichletCharacter(self, t) for t in self.dlogs.tolist())
-        return list(self._characters)
+        return self._characters
 
     def value_indices_at(self, n: int) -> np.ndarray:
         """value_index of chi(n) for every chi, in ``characters()`` order; n coprime to q."""
@@ -185,7 +185,7 @@ def character_group(q: int) -> CharacterGroup:
     return CharacterGroup(q)
 
 
-def enumerate_characters(q: int) -> list[DirichletCharacter]:
+def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
     """All phi(q) characters mod q in lexicographic exponent order."""
     return character_group(q).characters()
 

@@ -140,7 +140,6 @@ def _dispatch(spec: dict, row: dict):
     x, y, q, a = spec.get("x"), spec.get("y"), spec.get("q"), spec.get("a")
     if q is None:
         q = 1
-    eps = spec.get("epsilon", es.DEFAULT_EPSILON)
 
     if mode == "count":
         kind = spec.get("variant") or "ultrafriable"
@@ -154,7 +153,7 @@ def _dispatch(spec: dict, row: dict):
                 n = ct.count_friable(x, y, q)
         else:
             table = pr.build_table(y)
-            row["regime"] = pr.classify_regime(max(x, 2.0), table, eps).kind
+            row["regime"] = pr.classify_regime(max(x, 2.0), table).kind
             if a is not None:
                 n = ct.count_ultrafriable_residues(x, table, q)[a]
             else:
@@ -165,7 +164,7 @@ def _dispatch(spec: dict, row: dict):
 
     if mode == "saddle":
         table = pr.build_table(y)
-        regime = pr.classify_regime(x, table, eps)
+        regime = pr.classify_regime(x, table)
         row["regime"] = regime.kind
         row["u"] = regime.u
         row["eta"] = regime.eta
@@ -194,12 +193,12 @@ def _dispatch(spec: dict, row: dict):
         if x is not None and y is not None and not chi.is_principal:
             table = pr.build_table(y)
             ctx = pr.modulus_context(q, table)
-            diag = es.t3_bound(x, table, ctx, chi, epsilon=eps, c1=spec.get("c1", es.DEFAULT_C1))
+            diag = es.t3_bound(x, table, ctx, chi, c1=spec.get("c1", es.DEFAULT_C1))
             row["exact_value_or_log"] = _fmt(diag.exact_ratio)
             row["budget"] = diag.bound_theta1
             row["error_over_budget"] = diag.exact_ratio / diag.bound_theta1
             row["u"] = diag.u
-            row["regime"] = pr.classify_regime(x, table, eps).kind
+            row["regime"] = pr.classify_regime(x, table).kind
         return
 
     table = pr.build_table(y)
@@ -225,29 +224,26 @@ def _dispatch(spec: dict, row: dict):
 
 
 def _estimate_and_exact(variant, x, table, ctx, a, spec, mode):
-    eps = spec.get("epsilon", es.DEFAULT_EPSILON)
-    c0 = spec.get("c0", es.DEFAULT_C0)
     c1 = spec.get("c1", es.DEFAULT_C1)
-    c2 = spec.get("c2", es.DEFAULT_C2)
     need_exact = mode == "compare"
     if variant == "UPS":
-        est = es.estimate_upsilon(x, table, eps)
+        est = es.estimate_upsilon(x, table)
         exact = ct.count_ultrafriable(x, table, pr.modulus_context(1, table)) if need_exact else 0
     elif variant in es.VARIANTS_UPSILON_Q:
-        est = es.estimate_upsilon_q(x, table, ctx, variant, eps)
+        est = es.estimate_upsilon_q(x, table, ctx, variant)
         exact = ct.count_ultrafriable(x, table, ctx) if need_exact else 0
     elif variant == "T2":
-        est = es.estimate_t2(x, table.y, ctx.q, eps)
+        est = es.estimate_t2(x, table.y, ctx.q)
         exact = ct.count_ultrafriable(x, table, ctx) if need_exact else 0
     elif variant in es.VARIANTS_PROGRESSION:
         if a is None:
             raise DomainError("T4/T5 need a residue class --a")
-        est = es.estimate_progression(x, table, ctx, a, variant, eps, c0, c1, c2)
+        est = es.estimate_progression(x, table, ctx, a, variant, c1)
         exact = ct.count_ultrafriable_residues(x, table, ctx.q)[a] if need_exact else 0
     elif variant == "R6":
         if a is None:
             raise DomainError("R6 needs a residue class --a")
-        est = es.estimate_noncoprime(x, table, ctx.q, a, eps, c1)
+        est = es.estimate_noncoprime(x, table, ctx.q, a, c1)
         exact = ct.count_ultrafriable_residues(x, table, ctx.q)[a] if need_exact else 0
     else:
         raise DomainError(f"unknown variant {variant!r}")
@@ -308,10 +304,7 @@ def _add_common(sp):
     sp.add_argument("--a-grid", type=str, default=None)
     sp.add_argument("--variant", type=str, default=None,
                     help="T1i|T1ii|T1iii|REMC|T2|T4|T5|R6|UPS, or count kind, comma list for sweep")
-    sp.add_argument("--epsilon", type=float, default=es.DEFAULT_EPSILON)
-    sp.add_argument("--c0", type=float, default=es.DEFAULT_C0)
     sp.add_argument("--c1", type=float, default=es.DEFAULT_C1)
-    sp.add_argument("--c2", type=float, default=es.DEFAULT_C2)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", type=str, default=None)
     sp.add_argument("--jobs", type=int, default=0,
@@ -352,9 +345,7 @@ def _expand_grids(args, modes_variants: list[str]) -> list[dict]:
                     for a in sas:
                         specs.append({
                             "mode": args.command if args.command != "sweep" else "compare",
-                            "x": x, "y": y, "q": q, "a": a, "variant": variant,
-                            "epsilon": args.epsilon, "c0": args.c0,
-                            "c1": args.c1, "c2": args.c2,
+                            "x": x, "y": y, "q": q, "a": a, "variant": variant, "c1": args.c1,
                         })
     return specs
 
@@ -389,8 +380,7 @@ def main(argv=None) -> int:
             print(f"chars: {type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
         specs = [{
-            "mode": "chars", "x": args.x, "y": args.y, "q": args.q,
-            "char_index": i, "epsilon": args.epsilon, "c1": args.c1,
+            "mode": "chars", "x": args.x, "y": args.y, "q": args.q, "char_index": i, "c1": args.c1,
         } for i in range(n_chars)]
     else:
         variants = (args.variant.split(",") if args.variant else [None])

@@ -359,7 +359,8 @@ class ResidueCounts:
         return sum(self.counts)
 
     def coprime_total(self) -> int:
-        return sum(c for a, c in enumerate(self.counts) if math.gcd(a, self.q) == 1)
+        units = np.flatnonzero(np.gcd(np.arange(self.q), self.q) == 1).tolist()
+        return sum(self.counts[a] for a in units)  # Python ints: a count can pass 2^63
 
 
 class ResidueDivisorCounter(_DivisorRows):
@@ -392,6 +393,12 @@ def _residue_counter(y: int, q: int) -> ResidueDivisorCounter:
 @lru_cache(maxsize=128)
 def _residue_vector(bound: int, y: int, q: int) -> ResidueCounts:
     return _residue_counter(y, q).count_le(bound)
+
+
+@lru_cache(maxsize=128)
+def _friable_classes(X: int, y: int, q: int) -> tuple[int, ...]:
+    """The divisors of N_x over p <= min(y, sqrt(X)) per class mod q; 2 <= y < X."""
+    return _DivisorRows(_friable_head(X, y)[0]).classes_le(X, q)
 
 
 def get_counter(table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None) -> DivisorCounter:
@@ -526,8 +533,8 @@ def count_friable_progression(x, y: int, a: int, q: int) -> int:
         return _class_upto(X, a, q)
     if y < 2:
         return int(a == 1)  # only n = 1 has no prime factor
-    rows, tail = _friable_head(X, y)
-    count = _DivisorRows(rows).classes_le(X, q)[a]
+    count = _friable_classes(X, y, q)[a]
+    tail = _friable_head(X, y)[1]
     if len(tail):
         # p m ≡ a (mod q) with g = (p, q) in {1, p}: m ≡ (a/g) (p/g)^-1 (mod q/g) if g | a
         g = np.gcd(tail, q)

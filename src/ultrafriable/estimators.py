@@ -3,10 +3,10 @@
 Each estimator returns an EstimateBreakdown whose main term is kept in
 natural-log space (the counts can overflow any fixed-width float) together
 with the named multiplicative factors and an ErrorBudget carrying the
-theorem's error expression.  The asymptotic statements come with unnamed
-absolute constants; those are exposed as keyword parameters with defaults,
-and the acceptance suite pins empirical band constants around the budget
-expressions (see calibration.py).
+theorem's error expression.  The statements hold for a fixed eps > 0 with
+unnamed absolute constants c0, c1, c2: eps (``primes.EPSILON``), c0 and c2
+are fixed at the values the frozen bands were calibrated at (calibration.py),
+and c1 stays a keyword, as the T3 ceiling is also evaluated at ``t3_c1``.
 
 Reference factors at desk scale (the exact counts Upsilon_q, Psi_q and the
 per-class counts) are taken from the exact engines rather than a second
@@ -23,24 +23,23 @@ from . import primes as pr
 from . import saddle as sd
 from .errors import DomainError, NonCoprimeError, RegimeError, UnsupportedCaseError
 
-DEFAULT_EPSILON = 0.1
-DEFAULT_C0 = 0.25
+C0 = 0.25
 DEFAULT_C1 = 0.1
-DEFAULT_C2 = 0.1
+C2 = 0.1
 T1III_ETA_SQRT_U = 0.2
 
 VARIANTS_UPSILON_Q = ("T1i", "T1ii", "T1iii", "REMC")
 VARIANTS_PROGRESSION = ("T4", "T5")
 
 
-def Y_eps(y: float, epsilon: float = DEFAULT_EPSILON) -> float:
+def Y_eps(y: float) -> float:
     """The quality threshold exp((log y)^{3/2 - eps})."""
-    return math.exp(math.log(y) ** (1.5 - epsilon))
+    return math.exp(math.log(y) ** (1.5 - pr.EPSILON))
 
 
-def L_eps(y: float, epsilon: float = DEFAULT_EPSILON) -> float:
+def L_eps(y: float) -> float:
     """The saddle-approximation threshold exp((log y)^{3/5 - eps})."""
-    return math.exp(math.log(y) ** (0.6 - epsilon))
+    return math.exp(math.log(y) ** (0.6 - pr.EPSILON))
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +77,7 @@ def _delta_branch_large(u: float, theta: float) -> float:
     return theta * (u * l2u) ** theta / (1.0 + theta * l2u)
 
 
-def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
-                 epsilon: float = DEFAULT_EPSILON) -> ErrorBudget:
+def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext) -> ErrorBudget:
     """Delta_q, D_q, C_q and friends for (x, y, q).
 
     The stated bound is left at nan; each estimator attaches its own with
@@ -90,7 +88,7 @@ def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
     saddle domain 2 log x < psi(y) holds; the other branch's value is kept
     alongside for inspection.
     """
-    regime = pr.classify_regime(x, table, epsilon)
+    regime = pr.classify_regime(x, table)
     lx = math.log(x)
     ly = math.log(table.y)
     u = regime.u
@@ -185,15 +183,14 @@ def _require_large_y(regime: pr.RegimeTag, what: str):
         raise RegimeError(f"{what} needs y >= (log x)^(2+eps)")
 
 
-def estimate_upsilon(x: float, table: pr.PrimePowerTable,
-                     epsilon: float = DEFAULT_EPSILON) -> EstimateBreakdown:
+def estimate_upsilon(x: float, table: pr.PrimePowerTable) -> EstimateBreakdown:
     """Saddle main term for the global count, x^beta Z(beta, y) G(beta sqrt(sigma2)):
     the T1i estimate at q = 1, whose budget is 1/u since D_1 = 0."""
-    return estimate_upsilon_q(x, table, pr.modulus_context(1, table), "T1i", epsilon)
+    return estimate_upsilon_q(x, table, pr.modulus_context(1, table), "T1i")
 
 
 def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
-                       variant: str = "T1i", epsilon: float = DEFAULT_EPSILON) -> EstimateBreakdown:
+                       variant: str = "T1i") -> EstimateBreakdown:
     """Saddle main term for the coprime count, x^beta Z_q(beta, y) G(beta sqrt(sigma2)).
 
     Variants select the error budget:
@@ -210,7 +207,7 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
     if variant not in VARIANTS_UPSILON_Q:
         raise DomainError(f"unknown variant {variant!r}")
     ctx.require_p_plus_le_y()
-    bud = error_budget(x, table, ctx, epsilon)
+    bud = error_budget(x, table, ctx)
     lx = math.log(x)
     ly = math.log(table.y)
     u, eta = bud.u, bud.eta
@@ -264,7 +261,7 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
     )
 
 
-def estimate_t2(x: float, y: int, q: int, epsilon: float = DEFAULT_EPSILON) -> EstimateBreakdown:
+def estimate_t2(x: float, y: int, q: int) -> EstimateBreakdown:
     """Large-y estimate of Upsilon_q by the exact friable count Psi_q.
 
     stated_bound = q u log 2u / (phi(q) sqrt(y) log y).  The friable count is
@@ -273,7 +270,7 @@ def estimate_t2(x: float, y: int, q: int, epsilon: float = DEFAULT_EPSILON) -> E
     table = pr.build_table(y)
     ctx = pr.modulus_context(q, table)
     ctx.require_p_plus_le_y()
-    bud = error_budget(x, table, ctx, epsilon)
+    bud = error_budget(x, table, ctx)
     _require_large_y(bud.regime, "T2")
     u = bud.u
     psi_q_exact = ct.count_friable(x, y, q)
@@ -287,10 +284,8 @@ def estimate_t2(x: float, y: int, q: int, epsilon: float = DEFAULT_EPSILON) -> E
     )
 
 
-def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
-                         a: int, variant: str = "T4",
-                         epsilon: float = DEFAULT_EPSILON, c0: float = DEFAULT_C0,
-                         c1: float = DEFAULT_C1, c2: float = DEFAULT_C2) -> EstimateBreakdown:
+def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext, a: int,
+                         variant: str = "T4", c1: float = DEFAULT_C1) -> EstimateBreakdown:
     """Equidistribution main term Upsilon_q(x, y) / phi(q) for a coprime class.
 
     T4 (small y): budget exp(-c1 u/(log u)^4) + 1/Y_eps, with the domain
@@ -305,17 +300,17 @@ def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCon
             f"(a, q) = {math.gcd(a, ctx.q)} > 1: use estimate_noncoprime for this class"
         )
     ctx.require_p_plus_le_y()
-    bud = error_budget(x, table, ctx, epsilon)
+    bud = error_budget(x, table, ctx)
     regime, u = bud.regime, bud.u
     y = table.y
     if variant == "T4":
         _require_small_y(regime, "T4")
         lu = math.log(max(u, 1.0 + 1e-12))
-        stated = math.exp(-c1 * u / lu**4) + 1.0 / Y_eps(y, epsilon)
-        q_ok = ctx.q <= y ** (c0 / math.log(math.log(y)))
+        stated = math.exp(-c1 * u / lu**4) + 1.0 / Y_eps(y)
+        q_ok = ctx.q <= y ** (C0 / math.log(math.log(y)))
     else:
         _require_large_y(regime, "T5")
-        stated = math.log(ctx.q) / (u**c2 * math.log(y)) + 1.0 / math.log(y)
+        stated = math.log(ctx.q) / (u**C2 * math.log(y)) + 1.0 / math.log(y)
         q_ok = ctx.q <= math.sqrt(y)
     upsilon_q = ct.count_ultrafriable(x, table, ctx)
     beta = s2 = None
@@ -334,7 +329,6 @@ def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCon
 
 
 def estimate_noncoprime(x: float, table: pr.PrimePowerTable, q: int, a: int,
-                        epsilon: float = DEFAULT_EPSILON,
                         c1: float = DEFAULT_C1) -> EstimateBreakdown:
     """Progression estimate for d = (a, q) > 1 in the supported split case.
 
@@ -355,7 +349,7 @@ def estimate_noncoprime(x: float, table: pr.PrimePowerTable, q: int, a: int,
     if any(p > table.y for p in dfac) or d > x:
         raise UnsupportedCaseError(f"d={d} is not a y-ultrafriable integer <= x")
     # an integer x is divided exactly: x / d overflows a float past 1.8e308
-    regime = pr.classify_regime(x // d if isinstance(x, int) else x / d, table, epsilon)
+    regime = pr.classify_regime(x // d if isinstance(x, int) else x / d, table)
     _require_small_y(regime, "the non-coprime estimate")
     res = sd.beta_cached(math.log(x) - math.log(d), table.y)
     beta = res.sigma
@@ -367,8 +361,8 @@ def estimate_noncoprime(x: float, table: pr.PrimePowerTable, q: int, a: int,
     ups = ct.count_ultrafriable(ct._floor_bound(x) // d, table, ctx_qd)
     u = regime.u
     lu = math.log(max(u, 1.0 + 1e-12))
-    stated = math.exp(-c1 * u / lu**4) + 1.0 / Y_eps(table.y, epsilon)
-    bud = replace(error_budget(x, table, pr.modulus_context(q, table), epsilon), stated_bound=stated)
+    stated = math.exp(-c1 * u / lu**4) + 1.0 / Y_eps(table.y)
+    bud = replace(error_budget(x, table, pr.modulus_context(q, table)), stated_bound=stated)
     return EstimateBreakdown(
         theorem_tag="R6",
         log_main=math.log(h_d) + math.log(ups) - math.log(ctx_qd.phi_q),
@@ -399,7 +393,7 @@ class T3Diagnostic:
 
 
 def t3_bound(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext, chi,
-             epsilon: float = DEFAULT_EPSILON, c1: float = DEFAULT_C1) -> T3Diagnostic:
+             c1: float = DEFAULT_C1) -> T3Diagnostic:
     """Evaluate the nonprincipal character-sum bound for theta in {0, 1}.
 
     Pairs exp(-c1 u / (1 + theta (log u)^4)) + 1/Y_eps with the exact ratio
@@ -410,11 +404,11 @@ def t3_bound(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext, chi,
         raise DomainError("the character-sum bound concerns nonprincipal characters")
     if chi.modulus != ctx.q:
         raise DomainError(f"the character is mod {chi.modulus}, the context mod {ctx.q}")
-    regime = pr.classify_regime(x, table, epsilon)
+    regime = pr.classify_regime(x, table)
     _require_small_y(regime, "the character-sum bound")
     u = regime.u
     lu4 = math.log(max(u, 1.0 + 1e-12)) ** 4
-    inv_y = 1.0 / Y_eps(table.y, epsilon)
+    inv_y = 1.0 / Y_eps(table.y)
     b0 = math.exp(-c1 * u) + inv_y
     b1 = math.exp(-c1 * u / (1.0 + lu4)) + inv_y
     ctx.require_p_plus_le_y()

@@ -233,6 +233,8 @@ def N_q(table: PrimePowerTable, ctx: ModulusContext) -> int:
     return out
 
 
+EPSILON = 0.1  # the fixed eps > 0 of the theorems; the frozen bands were calibrated at it
+
 SMALL_Y = "SMALL_Y"
 LARGE_Y = "LARGE_Y"
 OUT_OF_DOMAIN = "OUT_OF_DOMAIN"
@@ -243,7 +245,7 @@ class RegimeTag:
     """Which asymptotic regime an (x, y) pair falls in.
 
     ``small_y`` means psi(y) > 2 log x (the saddle-equation domain) and
-    ``large_y`` means y >= (log x)^(2+epsilon).  Both can hold at once; the
+    ``large_y`` means y >= (log x)^(2+EPSILON).  Both can hold at once; the
     ``kind`` label then reports LARGE_Y, but consumers should test the flags.
     """
 
@@ -252,15 +254,14 @@ class RegimeTag:
     large_y: bool
     u: float
     eta: float | None
-    epsilon: float
 
 
-def classify_regime(x: float, table: PrimePowerTable, epsilon: float = 0.1) -> RegimeTag:
+def classify_regime(x: float, table: PrimePowerTable) -> RegimeTag:
     if x < 2:
         raise DomainError(f"need x >= 2, got {x}")
     lx = math.log(x)
     small = table.psi_y > 2.0 * lx
-    large = table.y >= lx ** (2.0 + epsilon)
+    large = table.y >= lx ** (2.0 + EPSILON)
     if large:
         kind = LARGE_Y
     elif small:
@@ -274,5 +275,4 @@ def classify_regime(x: float, table: PrimePowerTable, epsilon: float = 0.1) -> R
         large_y=large,
         u=lx / math.log(table.y),
         eta=eta,
-        epsilon=epsilon,
     )

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from ultrafriable import (build_table, enumerate_characters, estimate_noncoprime,
+                          estimate_progression, modulus_context, t3_bound)
 from ultrafriable.calibration import DATA_FILE, parse_constants
-from ultrafriable.cli import COLUMNS, build_parser, compute_row, main, parse_grid, parse_x
+from ultrafriable.cli import COLUMNS, _fmt, build_parser, compute_row, main, parse_grid, parse_x
 
 
 def run_cli(args, capsys):
@@ -159,6 +161,43 @@ def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as ei:
         build_parser().parse_args(["count", "--bogus"])
     assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("flag", ["--epsilon", "--c0", "--c2"])
+def test_fixed_constants_are_not_flags(flag):
+    # eps, c0 and c2 are fixed at the values the frozen bands were calibrated at
+    with pytest.raises(SystemExit) as ei:
+        main(["estimate", "--x", "e20", "--y", "100", flag, "0.2"])
+    assert ei.value.code == 2
+
+
+@pytest.mark.parametrize("variant, x, y, q, a", [("T4", "e20", 100, 7, 1), ("R6", "e25", 50, 6, 2)])
+def test_c1_reaches_the_progression_budgets(capsys, variant, x, y, q, a):
+    args = ["estimate", "--variant", variant, "--x", x, "--y", str(y), "--q", str(q), "--a", str(a)]
+    budgets = []
+    for extra in ([], ["--c1", "0.5"]):
+        _, out = run_cli(args + extra, capsys)
+        budgets.append(dict(zip(COLUMNS, out.strip().splitlines()[1].split(",")))["budget"])
+    table = build_table(y)
+    if variant == "T4":
+        est = estimate_progression(parse_x(x), table, modulus_context(q, table), a, "T4", c1=0.5)
+    else:
+        est = estimate_noncoprime(parse_x(x), table, q, a, c1=0.5)
+    assert budgets[1] == _fmt(est.budget.stated_bound)
+    assert budgets[1] != budgets[0]
+
+
+def test_c1_reaches_the_character_sum_ceiling(capsys):
+    _, out = run_cli(["chars", "--q", "7", "--x", "e30", "--y", "100", "--c1", "2.5"], capsys)
+    rows = [dict(zip(COLUMNS, l.split(","))) for l in out.strip().splitlines()[1:]]
+    table = build_table(100)
+    ctx = modulus_context(7, table)
+    for chi, row in zip(enumerate_characters(7), rows):
+        if chi.is_principal:
+            assert row["budget"] == ""
+            continue
+        assert row["budget"] == _fmt(t3_bound(parse_x("e30"), table, ctx, chi, c1=2.5).bound_theta1)
+        assert row["budget"] != _fmt(t3_bound(parse_x("e30"), table, ctx, chi).bound_theta1)
 
 
 def test_missing_args_exit_2(capsys):

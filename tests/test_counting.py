@@ -194,6 +194,13 @@ def test_friable_classes_sum_to_plain_and_coprime_counts(x, y, q):
     assert sum(c for a, c in enumerate(vec) if math.gcd(a, q) == 1) == count_friable(x, y, q)
 
 
+def test_friable_classes_built_once_per_x_y_q():
+    ct._friable_classes.cache_clear()
+    vec = [count_friable_progression(10**7, 5000, a, 7) for a in range(7)]
+    assert ct._friable_classes.cache_info().misses == 1
+    assert sum(vec) == count_friable(10**7, 5000)
+
+
 def test_friable_anchors():
     # from the memoised recursions the divisor-core counts replaced
     assert count_friable(10**8, 1000) == 11_298_170

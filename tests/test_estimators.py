@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from ultrafriable import (
     UnsupportedCaseError,
     build_table,
     character_sum,
+    classify_regime,
     compare,
     count_ultrafriable,
     enumerate_characters,
@@ -22,7 +24,7 @@ from ultrafriable import (
     t3_bound,
 )
 from ultrafriable.calibration import load_constants
-from ultrafriable.estimators import Y_eps
+from ultrafriable.estimators import L_eps, Y_eps
 
 CONSTS = load_constants()
 
@@ -355,3 +357,13 @@ def test_estimates_positive_finite(table100):
             est = estimate_upsilon_q(x, table100, ctx, "T1i")
             assert math.isfinite(est.log_main)
             assert est.budget.stated_bound > 0
+
+
+def test_eps_c0_c2_are_fixed_constants():
+    # every frozen band was calibrated at eps = 0.1, c0 = 0.25, c2 = 0.1
+    for f in (Y_eps, L_eps, classify_regime, error_budget, estimate_upsilon, estimate_upsilon_q,
+              estimate_t2, estimate_progression, estimate_noncoprime, t3_bound):
+        assert not {"epsilon", "c0", "c2"} & set(inspect.signature(f).parameters), f.__name__
+    table = build_table(100)
+    with pytest.raises(TypeError):
+        estimate_progression(math.exp(20), table, modulus_context(7, table), 1, c0=0.5)

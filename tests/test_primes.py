@@ -157,7 +157,7 @@ def test_classify_regime_examples(table100):
     assert tag.u == pytest.approx(3.0, abs=0.01)
 
     t1000 = build_table(1000)
-    tag = classify_regime(10**6, t1000, epsilon=0.1)
+    tag = classify_regime(10**6, t1000)
     assert tag.kind == "LARGE_Y" and tag.large_y
     assert tag.small_y  # psi(1000) >> 2 log x: both flags hold here
 
