@@ -27,10 +27,13 @@ bounds 1 <= X < 2^63:
   there are few pairs per class, the products are listed and binned.
 
 A half's list is built from its own two halves in the same way, down to
-rows with at most ``_DIRECT_TAU`` divisors, which are listed prime by prime.
-Each list's length is counted before it is allocated, and a list longer
-than ``LIST_CAP`` (2^25 entries, 256 MB of int64) raises ResourceError.
-Every product formed is at most X, so none overflows int64.
+leaf rows with at most ``_DIRECT_TAU`` divisors.  A leaf's divisors below
+2^63 are listed once per process (``_all_divisors``, a bounded cache of
+read-only arrays, 16 MB at most) and shared by every bound, query and
+engine: its list <= X is the prefix that one ``searchsorted`` cuts.  Each
+list built from two halves has its length counted before it is allocated,
+and a list longer than ``LIST_CAP`` (2^25 entries, 256 MB of int64) raises
+ResourceError.  Every product formed is at most X, so none overflows int64.
 
 ``count_le`` answers tau(N) for a bound >= N, and the divisor symmetry of N
 reflects a bound >= sqrt(N): the count is tau(N) minus the number of
@@ -38,20 +41,23 @@ divisors below N/bound.  A bound still >= 2^63 splits off the largest
 remaining prime power into its nu + 1 cofactor bounds, each counted the
 same way.  The split is planned on an explicit stack from integer bounds
 before any list is built; more than ``SPLIT_CAP`` (2^12) sub-bounds raise
-ResourceError.  ``classes_le`` answers a bound >= N from the exact full
-residue vector, built once per (rows, q), and refuses bounds in [2^63, N).
-Bounds given as reals are floored once on entry (counts are step functions
-of x); a negative bound is a DomainError.
+ResourceError.  The sub-bounds on the same rows rows[:k] share one pair of
+half lists, built at the largest of them.  ``classes_le`` answers a bound
+>= N from the exact full residue vector, built once per (rows, q), and
+refuses bounds in [2^63, N).  Bounds given as reals are floored once on
+entry (counts are step functions of x); a negative bound is a DomainError.
 
-Measured on a 2-vCPU x86-64 VM (Python 3.11, numpy 2.4): a plain count at
-y = 200 takes 19 ms at x = e^24, 75 ms at e^30 and 0.6 s at e^40 (0.24 GB
-peak RSS), and 2.2 s with 0.5 GB at y = 300, x = e^35.  Past 2^63, y = 150
-at e^50 (split 13 levels deep) takes 0.5 s; the splits of y = 300 at e^60
-and of y = 3000 at 10^400 are refused in under 10 ms.  A residue vector at
-y = 100, x = e^30 takes 6 ms for q = 7 and 0.16 s for q = 1001.  A friable
-count at x = 10^9 takes 0.2 s at y = 1000 and about 2 s and 0.4 GB from
-y = 31622 to 10^6; one class mod 1009 there about 6 s and 0.9 GB.  The
-sieve behind ``naive_oracle`` builds in 0.6 s at 10^7 (84 MB traced peak).
+Measured cold, in a fresh interpreter on a 2-vCPU x86-64 VM (Python 3.11,
+numpy 2.4): a plain count at y = 200 takes 23 ms at x = e^24, 94 ms at e^30
+and 0.65 s at e^40 (0.22 GB peak RSS), and 1.9 s with 0.5 GB at y = 300,
+x = e^35.  Past 2^63, y = 150 at e^50 (split 13 levels deep, 91 leaves over
+12 row prefixes) takes 0.2 s and y = 200 at e^50 (300 leaves over 23) takes
+2.5 s; the splits of y = 300 at e^60 and of y = 3000 at 10^400 are refused
+in under 10 ms.  A residue vector at y = 100, x = e^30 takes 7 ms for q = 7
+and 0.14 s for q = 1001.  A friable count at x = 10^9 takes 0.13 s at
+y = 1000 and about 1.7 s and 0.4 GB from y = 31622 to 10^6; one class mod
+1009 there about 6 s and 0.9 GB.  The sieve behind ``naive_oracle`` builds
+in 0.6 s at 10^7 (84 MB traced peak).
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 
 import numpy as np
 
@@ -104,21 +111,30 @@ def _friable_bound(x) -> int:
 # the meet-in-the-middle core; every bound X here satisfies 1 <= X < 2^63
 # ---------------------------------------------------------------------------
 
-def _listed_directly(rows, X: int) -> np.ndarray:
-    """Sorted divisors <= X of prod p^nu over rows, extended prime by prime."""
+@lru_cache(maxsize=(1 << 21) // _DIRECT_TAU)  # lists of at most _DIRECT_TAU int64s: 16 MB in all
+def _all_divisors(rows) -> np.ndarray:
+    """Sorted divisors below 2^63 of prod p^nu over rows, as a read-only int64 array.
+
+    Only for rows with at most ``_DIRECT_TAU`` divisors, extended prime by
+    prime; listed once per process and shared by every bound and engine.
+    The bound is the literal 2^63 - 1, not ``_INT64_LIMIT``, so that a list
+    cached while that limit is lowered still holds every divisor.
+    """
+    top = (1 << 63) - 1
     d = np.ones(1, dtype=np.int64)
     for p, nu in reversed(rows):
         pieces = [d]
         pw = 1
         for _ in range(nu):
             pw *= p
-            k = int(d.searchsorted(X // pw, "right"))
+            k = int(d.searchsorted(top // pw, "right"))
             if k == 0:
                 break
             pieces.append(d[:k] * pw)
         if len(pieces) > 1:
             d = np.concatenate(pieces)
             d.sort()
+    d.flags.writeable = False
     return d
 
 
@@ -136,7 +152,8 @@ def _split(rows) -> tuple[tuple, tuple]:
 def _divisors_le(rows, X: int) -> np.ndarray:
     """Sorted divisors <= X of prod p^nu over rows, as an int64 array."""
     if math.prod(nu + 1 for _, nu in rows) <= _DIRECT_TAU:
-        return _listed_directly(rows, X)
+        d = _all_divisors(rows)
+        return d[:d.searchsorted(X, "right")]
     return _pair_products(*_halves(rows, X), X)
 
 
@@ -298,11 +315,12 @@ class _DivisorRows:
     """The (p, nu_p) rows of N = prod p^nu_p, ascending in p, and the two
     exact queries on their divisors.
 
-    Each query lists the divisors of the two halves of the rows afresh, so
-    construction computes only N and tau(N).
+    Each query builds the half lists it needs at its own bound, from leaf
+    lists shared through ``_all_divisors``, so construction computes only N
+    and tau(N).
     """
 
-    tail_divs = ()  # no divisor list outlives a query
+    tail_divs = ()  # an engine holds no divisor list; the leaf lists are shared
 
     def __init__(self, rows):
         self.rows = tuple(rows)
@@ -312,8 +330,15 @@ class _DivisorRows:
     def count_le(self, bound: int) -> int:
         """Number of divisors of N that are <= bound (exact)."""
         total, leaves = _split_plan(self.rows, self.N, self.tau, bound)
+        by_k = {}
         for sign, k, b in leaves:
-            total += sign * _count_pairs(*_halves(self.rows[:k], b), b)
+            by_k.setdefault(k, []).append((sign, b))
+        for k, group in by_k.items():
+            # lists built at the group's largest bound hold those of every smaller
+            # one; they are freed before the next group's lists are built
+            A, B = _halves(self.rows[:k], max(b for _, b in group))
+            total += sum(sign * _count_pairs(A, B, b) for sign, b in group)
+            del A, B
         return total
 
     def classes_le(self, bound: int, q: int) -> tuple[int, ...]:
@@ -345,6 +370,12 @@ class DivisorCounter(_DivisorRows):
         return self.count_le((num - 1) // den)
 
 
+@lru_cache(maxsize=32)
+def _is_unit(q: int) -> tuple[bool, ...]:
+    """(gcd(a, q) == 1 for a in 0..q-1); bools are shared, so 8 bytes a class."""
+    return tuple((np.gcd(np.arange(q), q) == 1).tolist())
+
+
 @dataclass(frozen=True)
 class ResidueCounts:
     """Exact divisor counts split by residue class mod q."""
@@ -359,8 +390,7 @@ class ResidueCounts:
         return sum(self.counts)
 
     def coprime_total(self) -> int:
-        units = np.flatnonzero(np.gcd(np.arange(self.q), self.q) == 1).tolist()
-        return sum(self.counts[a] for a in units)  # Python ints: a count can pass 2^63
+        return sum(compress(self.counts, _is_unit(self.q)))  # Python ints: a count can pass 2^63
 
 
 class ResidueDivisorCounter(_DivisorRows):

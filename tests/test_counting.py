@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -425,6 +426,13 @@ def test_residue_count_anchors(table100):
     assert rc.total() == 20666615
 
 
+def test_coprime_total_is_exact_past_2_63():
+    for q in (1, 2, 30, 9973, RESIDUE_Q_BOUND):
+        counts = tuple(2**70 + 3 * a for a in range(q))
+        want = sum(c for a, c in enumerate(counts) if math.gcd(a, q) == 1)
+        assert ct.ResidueCounts(q, counts).coprime_total() == want
+
+
 def test_residue_bounds_up_to_int64(table100):
     x = 2**63 - 1
     rc = count_ultrafriable_residues(x, table100, 7)
@@ -539,6 +547,105 @@ def test_split_and_reflection_exact_at_oracle_scale(limit, qy, pick):
         friable = count_friable(x, y, q)
     assert plain == naive_oracle(x, y, q=q)
     assert friable == naive_oracle(x, y, q=q, mode="friable")
+
+
+def test_lists_cached_under_a_lowered_limit_stay_whole():
+    # the leaf lists outlive the patch: those listed while the limit is lowered
+    # must still hold every divisor when the same rows are counted without it
+    ct._all_divisors.cache_clear()
+    t = build_table(89)
+    x = 987_654
+
+    def counts_match_oracle():
+        assert count_ultrafriable(x, t) == naive_oracle(x, 89)
+        assert count_friable(x, 89, 6) == naive_oracle(x, 89, q=6, mode="friable")
+
+    with mock.patch.object(ct, "_INT64_LIMIT", 300), mock.patch.object(ct, "SPLIT_CAP", 1 << 17):
+        counts_match_oracle()
+    assert ct._all_divisors.cache_info().currsize > 0
+    counts_match_oracle()
+
+
+def test_cached_divisor_lists_are_read_only(table100):
+    rows = ct.get_counter(table100).rows[:4]
+    full = ct._all_divisors(rows)
+    prefix = ct._divisors_le(rows, 1000)
+    for arr in (full, prefix):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 7
+    assert ct._all_divisors(rows) is full and full[0] == 1
+
+
+@pytest.mark.parametrize("rows", [
+    ((2, 30), (3, 20), (5, 4)),  # N about 2.3e21, 3,255 divisors
+    ((10007, 1), (10009, 1), (10037, 1), (10039, 1), (10061, 1), (10067, 1)),  # N about 1e24
+    ((2, 62), (3, 30), (7, 1)),  # 2^62 is a divisor; others lie on both sides of 2^63
+])
+def test_prefix_equals_a_fresh_listing_past_2_63(rows):
+    N = math.prod(p ** nu for p, nu in rows)
+    assert N > 2**63 and math.prod(nu + 1 for _, nu in rows) <= ct._DIRECT_TAU
+    every = sorted(math.prod(d) for d in itertools.product(
+        *([p ** e for e in range(nu + 1)] for p, nu in rows)))
+    rng = random.Random(7)
+    for X in (1, 2, 10**6, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 2, 2**63 - 1,
+              *(rng.randrange(1, 2**63) for _ in range(20))):
+        assert ct._divisors_le(rows, X).tolist() == [d for d in every if d <= X]
+
+
+def test_leaf_lists_are_shared_across_queries_and_engines(table100):
+    # the y = 100 residue engines mod 7, 30 and 210 have the same rows
+    x = int(math.exp(25))
+    ct._all_divisors.cache_clear()
+    ct.get_residue_counter(table100, 7).count_le(x)
+    misses = ct._all_divisors.cache_info().misses
+    assert misses > 0
+    for q in (30, 210):
+        ct.get_residue_counter(table100, q).count_le(x)
+    ct.get_counter(table100).count_le(x // 3)
+    info = ct._all_divisors.cache_info()
+    assert info.misses == misses and info.hits >= 3 * misses
+
+
+def test_split_lists_each_row_prefix_once():
+    # the leaves of one plan share the halves of rows[:k], listed at the
+    # group's largest bound
+    t = build_table(100)
+    x = int(math.exp(45))
+    engine = ct.get_counter(t)
+    _, leaves = ct._split_plan(engine.rows, engine.N, engine.tau, x)
+    ks = {k for _, k, _ in leaves}
+    assert len(leaves) > len(ks) > 1
+    with mock.patch.object(ct, "_halves", wraps=ct._halves) as halves:
+        assert engine.count_le(x) == 273171435
+    # the halves' own lists call _halves on interleaved rows, never on a prefix
+    listed = [c.args[0] for c in halves.call_args_list if c.args[0] == engine.rows[:len(c.args[0])]]
+    assert sorted(listed) == sorted(engine.rows[:k] for k in ks)
+
+
+@pytest.mark.parametrize("y, lx", [(120, 52), (150, 55)])
+def test_split_peak_is_one_groups_lists(y, lx):
+    # a group's lists are freed before the next group's are built, so the
+    # count peaks at the largest single group, not at two groups at once
+    engine = ct.get_counter(build_table(y))
+    x = int(math.exp(lx))
+    _, leaves = ct._split_plan(engine.rows, engine.N, engine.tau, x)
+    tops = {}
+    for _, k, b in leaves:
+        tops[k] = max(tops.get(k, 0), b)
+    assert len(tops) > 1
+
+    def peak(count):
+        tracemalloc.start()
+        try:
+            count()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one_group = max(peak(lambda: ct._count_pairs(*ct._halves(engine.rows[:k], b), b))
+                    for k, b in tops.items())
+    assert peak(lambda: engine.count_le(x)) < 1.05 * one_group
 
 
 @settings(max_examples=40, deadline=None)
