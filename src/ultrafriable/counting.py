@@ -21,10 +21,13 @@ bounds 1 <= X < 2^63:
   entries up to sqrt(X) are searched;
 * plain count -- ``searchsorted(B, X // a)`` summed over a <= sqrt(X), and
   the same with the lists swapped, minus the pairs counted twice;
-* class count -- one list is grouped by class r mod q and each class is
-  searched by the other list's entries up to sqrt(X), whose counts are
-  summed per class s (``np.add.reduceat``) into class r * s mod q; when
-  there are few pairs per class, the products are listed and binned.
+* class count -- the entries v up to sqrt(X) of one list are taken largest
+  first, so their bounds X // v ascend and each pairs v with a longer
+  prefix of the other list; one prefix sweep over blocks of (bound, class)
+  cells counts each prefix per class r (a ``bincount`` and a cumsum per
+  block) and folds the counts into class r * v mod q; when there are no
+  more pairs than cells (or than ``_DIRECT_PAIRS`` per class), the
+  products are listed and binned instead.
 
 A half's list is built from its own two halves in the same way, down to
 leaf rows with at most ``_DIRECT_TAU`` divisors.  A leaf's divisors below
@@ -53,11 +56,12 @@ and 0.65 s at e^40 (0.22 GB peak RSS), and 1.9 s with 0.5 GB at y = 300,
 x = e^35.  Past 2^63, y = 150 at e^50 (split 13 levels deep, 91 leaves over
 12 row prefixes) takes 0.2 s and y = 200 at e^50 (300 leaves over 23) takes
 2.5 s; the splits of y = 300 at e^60 and of y = 3000 at 10^400 are refused
-in under 10 ms.  A residue vector at y = 100, x = e^30 takes 7 ms for q = 7
-and 0.14 s for q = 1001.  A friable count at x = 10^9 takes 0.13 s at
-y = 1000 and about 1.7 s and 0.4 GB from y = 31622 to 10^6; one class mod
-1009 there about 6 s and 0.9 GB.  The sieve behind ``naive_oracle`` builds
-in 0.6 s at 10^7 (84 MB traced peak).
+in under 10 ms.  A residue vector at y = 100, x = e^30 takes 5 ms for q = 7,
+0.1 s for q = 1001 and 0.3 s for q = 9973, and one mod 1009 at y = 150
+takes 0.15 s.  A friable count at x = 10^9 takes 0.13 s at y = 1000 and
+about 1.7 s and 0.4 GB from y = 31622 to 10^6; one class mod 1009 there
+about 2 s, at the plain count's 0.4 GB peak.  The sieve behind
+``naive_oracle`` builds in 0.6 s at 10^7 (84 MB traced peak).
 """
 
 from __future__ import annotations
@@ -79,7 +83,8 @@ ORACLE_X_BOUND = 10**7
 LIST_CAP = 1 << 25  # entries of one divisor list
 _DIRECT_TAU = 1 << 12  # rows with at most this many divisors are listed directly
 _BLOCK = 1 << 20  # entries per block of a temporary array
-_DIRECT_PAIRS = 1 << 11  # pairs per class up to which binning the products beats the class loop
+_DIRECT_PAIRS = 1 << 8  # pairs per class binned even where the class sweep has fewer cells
+_CELLS = 1 << 15  # (bound, class) cells per block of the class sweep
 _INT64_LIMIT = 1 << 63
 SPLIT_CAP = 1 << 12  # sub-bounds one plain count may plan past 2^63
 
@@ -203,51 +208,68 @@ def _count_pairs(A: np.ndarray, B: np.ndarray, X: int) -> int:
             + int(np.searchsorted(A, X // b_small, "right").sum()) - len(a_small) * len(b_small))
 
 
-def _by_class(v: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """v grouped by class mod q: (values, where each class starts, the classes).
-
-    The classes fit in 16 bits (q <= RESIDUE_Q_BOUND), where numpy's stable
-    argsort is a radix sort; being stable, it keeps each class sorted.
-    """
-    res = (v % q).astype(np.int16)
-    order = np.argsort(res, kind="stable")
-    res = res[order]
-    starts = np.flatnonzero(np.diff(res, prepend=-1))
-    return v[order], starts, res[starts].astype(np.int64)
-
-
 def _class_pairs(P: np.ndarray, Q: np.ndarray, X: int, q: int, floor: int = 0) -> np.ndarray:
     """Pairs u * v <= X over u in P with u > floor and v in Q, by class mod q.
 
-    Each class r of P is searched by all of Q at once; the counts per
-    element of Q are summed per class s of Q and land in class r * s.
+    One prefix sweep: Q is walked from its largest entry, so the bounds
+    X // v ascend and row j pairs v_j with the prefix P[:ends[j]].  The
+    (row, class) cells are cut into blocks of about ``_CELLS`` (16 rows at
+    least), each over a contiguous slice of P.  In a block, one ``bincount``
+    of row * q + u mod q gives the entries new to each row; a cumsum down the
+    rows, after the last row of the block before, gives
+    C[j, r] = #{u in P[:ends[j]] : u ≡ r}; one more ``bincount`` folds
+    C[j, r] into class (v_j mod q) * r.  That fold sums the integers C in
+    float64, exact as every sum is at most len(P) * len(Q) <= LIST_CAP^2 =
+    2^50 < 2^53.
     """
-    P, p_starts, p_classes = _by_class(P, q)
-    Q, q_starts, q_classes = _by_class(Q, q)
-    bounds = X // Q
-    p_ends = np.append(p_starts[1:], len(P))
+    P = P[P.searchsorted(floor, "right"):]
+    Q = Q[::-1]
+    assert len(P) * len(Q) < 1 << 53
+    ends = P.searchsorted(X // Q, "right")
+    classes = np.arange(q)
     out = np.zeros(q, dtype=np.int64)
-    for r, lo, hi in zip(p_classes.tolist(), p_starts.tolist(), p_ends.tolist()):
-        members = P[lo:hi]
-        found = np.searchsorted(members, bounds, "right") - np.searchsorted(members, floor, "right")
-        np.add.at(out, (r * q_classes) % q, np.add.reduceat(found, q_starts))
+    carry = np.zeros(q, dtype=np.int64)
+    step = max(16, _CELLS // q)  # rows per block; 16 or more keep a block's numpy calls few
+    lo = 0
+    for j in range(int(ends.searchsorted(0, "right")), len(Q), step):  # rows with no u add nothing
+        e = ends[j:j + step]
+        hi = int(e[-1])
+        C = np.zeros(len(e) * q, dtype=np.int64)
+        for a in range(lo, hi, _BLOCK):  # at most _BLOCK entries at a time
+            b = min(a + _BLOCK, hi)
+            cut = np.minimum(np.maximum(e, a), b)  # each row's end within P[a:b]
+            rows = np.arange(0, len(C), q).repeat(cut - np.concatenate(([a], cut[:-1])))
+            C += np.bincount(rows + P[a:b] % q, minlength=len(C))
+        C = C.reshape(len(e), q)
+        C[0] += carry
+        C.cumsum(axis=0, out=C)
+        carry, lo = C[-1], hi
+        folded = (Q[j:j + step] % q)[:, None] * classes
+        folded -= folded // q * q  # the remainder mod q; // by a scalar is the faster op
+        out += np.bincount(folded.ravel(), weights=C.ravel(), minlength=q).astype(np.int64)
     return out
 
 
 def _residue_pairs(A: np.ndarray, B: np.ndarray, X: int, q: int) -> np.ndarray:
     """Pairs a * b <= X over a in A, b in B (sorted lists), by a * b mod q.
 
-    Few pairs are listed and binned directly; otherwise one loop runs over
-    the classes of B against A <= sqrt(X), one over the classes of A
-    against B <= sqrt(X).
+    The pairs with a <= sqrt(X) are one prefix sweep of B by A <= sqrt(X),
+    those with b <= sqrt(X) < a one of A > sqrt(X) by B <= sqrt(X): the two
+    sweeps fill (len(A <= sqrt(X)) + len(B <= sqrt(X))) * q cells.  When
+    there are no more pairs than max(``_DIRECT_PAIRS``, that length) * q,
+    that is fewer pairs than cells, or so few that the sweep's fixed cost of
+    some dozen numpy calls a block would dominate, the products are listed
+    and binned instead.
     """
-    if _count_pairs(A, B, X) <= _DIRECT_PAIRS * q:
-        out = np.zeros(q, dtype=np.int64)
-        for block in _product_blocks(A, B, np.searchsorted(B, X // A, "right")):
-            out += np.bincount(block % q, minlength=q)
-        return out
-    s, a_small, b_small = _small_parts(A, B, X)
-    return _class_pairs(B, a_small, X, q) + _class_pairs(A, b_small, X, q, floor=s)
+    pairs = _count_pairs(A, B, X)
+    if pairs > _DIRECT_PAIRS * q:
+        s, a_small, b_small = _small_parts(A, B, X)
+        if pairs > (len(a_small) + len(b_small)) * q:
+            return _class_pairs(B, a_small, X, q) + _class_pairs(A, b_small, X, q, floor=s)
+    out = np.zeros(q, dtype=np.int64)
+    for block in _product_blocks(A, B, np.searchsorted(B, X // A, "right")):
+        out += np.bincount(block % q, minlength=q)
+    return out
 
 
 def _halves(rows, X: int) -> tuple[np.ndarray, np.ndarray]:

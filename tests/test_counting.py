@@ -188,7 +188,8 @@ def test_friable_classes_with_prime_of_q_above_sqrt_x(x):
             [naive_oracle(x, y, a=a, q=74, mode="friable") for a in range(74)], (x, y)
 
 
-@pytest.mark.parametrize("x, y, q", [(10**7, 50, 30), (10**7, 5000, 7), (2 * 10**7, 10**5, 6)])
+@pytest.mark.parametrize("x, y, q", [(10**7, 50, 30), (10**7, 5000, 7), (2 * 10**7, 10**5, 6),
+                                     (10**7, 2000, 1009)])
 def test_friable_classes_sum_to_plain_and_coprime_counts(x, y, q):
     vec = [count_friable_progression(x, y, a, q) for a in range(q)]
     assert sum(vec) == count_friable(x, y)
@@ -669,3 +670,81 @@ def test_counts_at_squares_of_half_divisors(table100, s):
     assert count_ultrafriable(x, table100) == naive_oracle(x, 100)
     rc = count_ultrafriable_residues(x, table100, 7)
     assert rc.counts == tuple(naive_oracle(x, 100, a=a, q=7) for a in range(7))
+
+
+# ---------------------------------------------------------------------------
+# the class sweep: blocks, carried rows and the binning threshold
+# ---------------------------------------------------------------------------
+
+def _binned_pairs(P, Q, X, q, floor=0):
+    """Every product u * v <= X over u in P with u > floor and v in Q, binned mod q."""
+    products = np.multiply.outer(P[P > floor], Q).ravel()  # X < 2^31 keeps them in int64
+    return np.bincount(products[products <= X] % q, minlength=q).tolist()
+
+
+@pytest.mark.parametrize("q", [1, 2, 7, 210, 1009, 9973])
+def test_class_pairs_match_binned_products(q):
+    rng = np.random.default_rng(q)
+    empty = np.zeros(0, dtype=np.int64)
+    for _ in range(3):
+        X = int(rng.integers(10**6, 10**9))
+        s = math.isqrt(X)
+        # log-uniform, as divisor lists are: most pairs then fall below X
+        P = np.unique(np.exp(rng.uniform(0, math.log(X), size=400)).astype(np.int64))
+        Q = np.unique(np.exp(rng.uniform(0, math.log(4 * s), size=90)).astype(np.int64))
+        cases = [(P, Q), (empty, Q), (P, empty)]
+        for floor in (0, s):
+            want = [_binned_pairs(p, v, X, q, floor) for p, v in cases]
+            # the default blocks, and blocks of 16 rows (the fewest allowed)
+            # that cut the lists and carry a row from block to block, the
+            # entries of a block taken 7 or 64 at a time
+            for cells, block in ((ct._CELLS, ct._BLOCK), (q, 7), (3 * q, 64)):
+                with mock.patch.object(ct, "_CELLS", cells), mock.patch.object(ct, "_BLOCK", block):
+                    got = [ct._class_pairs(p, v, X, q, floor).tolist() for p, v in cases]
+                assert got == want, (X, floor, cells, block)
+
+
+@pytest.mark.parametrize("y, lx, q", [(100, 24, 30), (100, 22, 210), (100, 26, 1009)])
+def test_residue_pairs_same_on_both_sides_of_the_binning_threshold(y, lx, q):
+    rows = ct.get_residue_counter(build_table(y), q).rows
+    X = int(math.exp(lx))
+    A, B = ct._halves(rows, X)
+    pairs = ct._count_pairs(A, B, X)
+    vectors = []
+    for direct, swept in ((pairs // q + 1, False), (0, True)):
+        with mock.patch.object(ct, "_DIRECT_PAIRS", direct), \
+                mock.patch.object(ct, "_class_pairs", wraps=ct._class_pairs) as sweep:
+            vectors.append(ct._residue_pairs(A, B, X, q).tolist())
+        assert sweep.called == swept
+    assert vectors[0] == vectors[1]
+    assert sum(vectors[0]) == pairs
+
+
+@seed(14)
+@settings(max_examples=30, deadline=None)
+@given(q=st.sampled_from((3, 4, 12, 30, 49, 210, 997)), y=st.integers(min_value=2, max_value=89),
+       x=st.integers(min_value=0, max_value=10**6 - 1), sweep=st.booleans())
+def test_class_vectors_match_oracle_at_oracle_scale(q, y, x, sweep):
+    # every class a mod q of both class counts; with sweep, the products are
+    # never binned where the sweep fills fewer cells, and its blocks are 16 rows
+    t = build_table(y)
+    ct._residue_vector.cache_clear()
+    ct._friable_classes.cache_clear()
+    with mock.patch.object(ct, "_DIRECT_PAIRS", 0 if sweep else ct._DIRECT_PAIRS), \
+            mock.patch.object(ct, "_CELLS", 1 if sweep else ct._CELLS):
+        ultra = count_ultrafriable_residues(x, t, q).counts
+        friable = [count_friable_progression(x, y, a, q) for a in range(q)]
+    assert list(ultra) == [naive_oracle(x, y, a=a, q=q) for a in range(q)]
+    assert friable == [naive_oracle(x, y, a=a, q=q, mode="friable") for a in range(q)]
+
+
+@pytest.mark.parametrize("q", [9240, 9973])
+def test_large_modulus_vector_sums_to_plain_and_coprime_counts(table50, q):
+    # 9240 = 2^3 * 3 * 5 * 7 * 11; the prime 9973 exceeds y, so every count is coprime to it
+    x = int(math.exp(20))
+    rc = count_ultrafriable_residues(x, table50, q)
+    assert rc.total() == count_ultrafriable(x, table50)
+    if q == 9973:
+        assert rc[0] == 0 and rc.coprime_total() == rc.total()
+    else:
+        assert rc.coprime_total() == count_ultrafriable(x, table50, modulus_context(q, table50))
