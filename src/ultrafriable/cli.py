@@ -18,6 +18,7 @@ import os
 import re
 import sys
 import time
+from functools import lru_cache
 
 from . import __version__
 from . import calibration as cal
@@ -192,8 +193,7 @@ def _dispatch(spec: dict, row: dict):
         )
         if x is not None and y is not None and not chi.is_principal:
             table = pr.build_table(y)
-            ctx = pr.modulus_context(q, table)
-            diag = es.t3_bound(x, table, ctx, chi, c1=spec.get("c1", es.DEFAULT_C1))
+            diag = es.t3_bound(x, table, _chars_context(q, y), chi, c1=spec.get("c1", es.DEFAULT_C1))
             row["exact_value_or_log"] = _fmt(diag.exact_ratio)
             row["budget"] = diag.bound_theta1
             row["error_over_budget"] = diag.exact_ratio / diag.bound_theta1
@@ -221,6 +221,12 @@ def _dispatch(spec: dict, row: dict):
         return
 
     raise ValueError(f"unknown mode {mode!r}")
+
+
+@lru_cache(maxsize=8)
+def _chars_context(q: int, y: int) -> pr.ModulusContext:
+    """The modulus context that the phi(q) rows of one chars run share."""
+    return pr.modulus_context(q, pr.build_table(y))
 
 
 def _estimate_and_exact(variant, x, table, ctx, a, spec, mode):
@@ -293,6 +299,13 @@ def _emit(text: str, out: str | None) -> int:
 # argument parsing and grid expansion
 # ---------------------------------------------------------------------------
 
+def _jobs(text: str) -> int:
+    """A --jobs value: a worker count >= 0, where 0 means one per CPU."""
+    if not re.fullmatch(r"\+?\d+", text.strip()):
+        raise argparse.ArgumentTypeError(f"need an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _add_common(sp):
     sp.add_argument("--x", type=parse_x, default=None)
     sp.add_argument("--x-grid", type=str, default=None)
@@ -307,7 +320,7 @@ def _add_common(sp):
     sp.add_argument("--c1", type=float, default=es.DEFAULT_C1)
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
     sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--jobs", type=int, default=0,
+    sp.add_argument("--jobs", type=_jobs, default=0,
                     help="worker processes for sweep rows; 0 = available parallelism")
 
 
@@ -358,8 +371,9 @@ def _compute_all(specs: list[dict], jobs: int) -> list[dict]:
     # loads multiprocessing and socket, which only a parallel sweep needs
     from concurrent.futures import ProcessPoolExecutor
 
+    # about four chunks per worker: one row per task costs a pickle round trip per row
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(compute_row, specs))
+        return list(pool.map(compute_row, specs, chunksize=-(-len(specs) // (4 * jobs))))
 
 
 def main(argv=None) -> int:

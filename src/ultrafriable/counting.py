@@ -1,16 +1,18 @@
 """Exact counting of ultrafriable and friable integers.
 
-Every exact count here is one of two queries on one engine, the (p, nu_p)
-rows of N = prod p^nu_p (``_DivisorRows``): ``count_le(bound)``, the number
-of divisors of N that are <= bound, and ``classes_le(bound, q)``, those
-divisors counted per class mod q.  The y-ultrafriable n coprime to q are the
-divisors of N over p <= y, p ∤ q.  A y-friable n <= x whose prime factors
-are all <= sqrt(x) divides N_x = prod p^nu_p(x) over p <= min(y, sqrt(x)),
-where p^nu_p(x) <= x < p^(nu_p(x)+1); every other y-friable n <= x is p * m
-for one prime sqrt(x) < p <= y and some m <= x // p < p (Buchstab's
-identity), and those are counted in one numpy pass over the primes: the m
-coprime to q by inclusion-exclusion over rad(q), or the m in the class
-a / p mod q (a / p mod q / p when p divides q and a).
+Every exact count here, ultrafriable or friable, plain or per class mod q,
+is one split at sqrt(x) (Buchstab's identity).  A prime p > sqrt(x) divides
+n <= x at most once, and then n = p * m with m <= x // p < sqrt(x) < p, so m
+is y-ultrafriable and y-friable.  The count is the divisors <= x of head rows
+over p <= sqrt(x), plus the tail p * m over the primes sqrt(x) < p <= y: the
+m coprime to q by inclusion-exclusion over rad(q), or per class mod q the
+pairs of the tail primes with 1..isqrt(x).  The kinds differ in the head
+only.  The y-ultrafriable n coprime to q are the divisors of N = prod p^nu_p
+over p <= y, p ∤ q: their head is the prefix of these rows over
+p <= sqrt(x), all of them when y <= sqrt(x).  A y-friable head is the rows
+(p, nu_p(x)), p^nu_p(x) <= x < p^(nu_p(x)+1).  A head is one engine
+(``_DivisorRows``) with two queries: ``count_le(bound)``, its divisors
+<= bound, and ``classes_le(bound, q)``, those per class mod q.
 
 Both queries run one meet-in-the-middle core (the Horowitz-Sahni split) at
 bounds 1 <= X < 2^63:
@@ -50,18 +52,7 @@ half lists, built at the largest of them.  ``classes_le`` answers a bound
 refuses bounds in [2^63, N).  Bounds given as reals are floored once on
 entry (counts are step functions of x); a negative bound is a DomainError.
 
-Measured cold, in a fresh interpreter on a 2-vCPU x86-64 VM (Python 3.11,
-numpy 2.4): a plain count at y = 200 takes 23 ms at x = e^24, 94 ms at e^30
-and 0.65 s at e^40 (0.22 GB peak RSS), and 1.9 s with 0.5 GB at y = 300,
-x = e^35.  Past 2^63, y = 150 at e^50 (split 13 levels deep, 91 leaves over
-12 row prefixes) takes 0.2 s and y = 200 at e^50 (300 leaves over 23) takes
-2.5 s; the splits of y = 300 at e^60 and of y = 3000 at 10^400 are refused
-in under 10 ms.  A residue vector at y = 100, x = e^30 takes 5 ms for q = 7,
-0.1 s for q = 1001 and 0.3 s for q = 9973, and one mod 1009 at y = 150
-takes 0.15 s.  A friable count at x = 10^9 takes 0.13 s at y = 1000 and
-about 1.7 s and 0.4 GB from y = 31622 to 10^6; one class mod 1009 there
-about 2 s, at the plain count's 0.4 GB peak.  The sieve behind
-``naive_oracle`` builds in 0.6 s at 10^7 (84 MB traced peak).
+Measured times and memory peaks are in the Scope notes of the README.
 """
 
 from __future__ import annotations
@@ -69,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import compress
 
 import numpy as np
@@ -338,16 +329,17 @@ class _DivisorRows:
     exact queries on their divisors.
 
     Each query builds the half lists it needs at its own bound, from leaf
-    lists shared through ``_all_divisors``, so construction computes only N
-    and tau(N).
+    lists shared through ``_all_divisors``.  N and tau(N) are computed on
+    first use, never for an engine whose rows only feed heads over
+    p <= sqrt(x): at y = 10^6, N has 1.4 million bits.
     """
 
     tail_divs = ()  # an engine holds no divisor list; the leaf lists are shared
+    N = cached_property(lambda self: math.prod(p ** nu for p, nu in self.rows))
+    tau = cached_property(lambda self: math.prod(nu + 1 for _, nu in self.rows))
 
     def __init__(self, rows):
         self.rows = tuple(rows)
-        self.N = math.prod(p ** nu for p, nu in self.rows)
-        self.tau = math.prod(nu + 1 for _, nu in self.rows)
 
     def count_le(self, bound: int) -> int:
         """Number of divisors of N that are <= bound (exact)."""
@@ -384,12 +376,6 @@ class DivisorCounter(_DivisorRows):
     def __init__(self, table: pr.PrimePowerTable, q_primes=()):
         pset = set(q_primes)
         super().__init__((p, n) for p, n in zip(table.primes, table.nu) if p not in pset)
-
-    def count_below(self, num: int, den: int = 1) -> int:
-        """Number of divisors d with d * den < num (strict left limit)."""
-        if num <= den:
-            return 0
-        return self.count_le((num - 1) // den)
 
 
 @lru_cache(maxsize=32)
@@ -442,17 +428,6 @@ def _residue_counter(y: int, q: int) -> ResidueDivisorCounter:
     return ResidueDivisorCounter(pr.build_table(y), q)
 
 
-@lru_cache(maxsize=128)
-def _residue_vector(bound: int, y: int, q: int) -> ResidueCounts:
-    return _residue_counter(y, q).count_le(bound)
-
-
-@lru_cache(maxsize=128)
-def _friable_classes(X: int, y: int, q: int) -> tuple[int, ...]:
-    """The divisors of N_x over p <= min(y, sqrt(X)) per class mod q; 2 <= y < X."""
-    return _DivisorRows(_friable_head(X, y)[0]).classes_le(X, q)
-
-
 def get_counter(table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None) -> DivisorCounter:
     """The cached plain engine for (y, q); the counting identities need P+(q) <= y."""
     if ctx is None:
@@ -466,6 +441,84 @@ def get_residue_counter(table: pr.PrimePowerTable, q: int) -> ResidueDivisorCoun
 
 
 # ---------------------------------------------------------------------------
+# one split at sqrt(X) for both kinds: the divisors <= X of head rows over
+# p <= sqrt(X), plus Buchstab's tail p * m over the primes sqrt(X) < p <= y
+# ---------------------------------------------------------------------------
+
+def _coprime_upto(M, q_primes):
+    """#{1 <= m <= M : (m, q) = 1} elementwise, by inclusion-exclusion over
+    the squarefree d | rad(q) up to max(M), the only d with M // d nonzero."""
+    top = int(np.max(M, initial=0))
+    terms = [(1, 1)]
+    for p in q_primes:
+        terms += [(-sign, d * p) for sign, d in terms if d * p <= top]
+    return sum(sign * (M // d) for sign, d in terms)
+
+
+def _tail(X: int, y: int, q_primes=()) -> np.ndarray:
+    """The primes sqrt(X) < p <= y, p ∤ q, as int64; empty when y <= sqrt(X)."""
+    s = math.isqrt(X)
+    if y <= s:
+        return np.zeros(0, dtype=np.int64)
+    primes = pr.build_table(y).p_arr
+    tail = primes[primes.searchsorted(s, "right"):]
+    for p in q_primes:
+        if p > s:
+            tail = tail[tail != p]
+    return tail
+
+
+def _ultrafriable_split(X: int, table: pr.PrimePowerTable, q_primes, engine):
+    """(head, tail) of the y-ultrafriable n <= X coprime to q: the cached engine
+    that ``engine()`` returns when the tail is empty, else the engine's rows
+    over p <= sqrt(X), read off the table (the engine of a large y is never
+    built) with the tail primes.  A divisor <= X has p^e <= X: no row needs a cap."""
+    tail = _tail(X, table.y, q_primes)
+    if not len(tail):
+        return engine(), tail
+    k = int(table.p_arr.searchsorted(math.isqrt(X), "right"))
+    return _DivisorRows(r for r in zip(table.primes[:k], table.nu[:k]) if r[0] not in q_primes), tail
+
+
+def _friable_split(X: int, y: int, q_primes=()):
+    """(head, tail) of the y-friable n <= X, for 2 <= y < X <= FRIABLE_X_BOUND:
+    the rows (p, nu_p(X)) over p <= min(y, sqrt(X)), p ∤ q, and the tail primes."""
+    primes = pr.build_table(y).p_arr
+    p = primes[:primes.searchsorted(math.isqrt(X), "right")]
+    nu = (math.log(X) / np.log(p)).astype(np.int64)
+    # exact corrections of the float floor of log_p(X); p^(nu+1) <= X * p^2 <= X^2 fits int64
+    nu += p ** (nu + 1) <= X
+    nu -= p ** nu > X
+    head = _DivisorRows(r for r in zip(p.tolist(), nu.tolist()) if r[0] not in q_primes)
+    return head, _tail(X, y, q_primes)
+
+
+def _plain(head: _DivisorRows, tail: np.ndarray, X: int, q_primes) -> int:
+    """The divisors <= X of the head rows, plus the p * m <= X over tail primes p
+    and m coprime to q: every such m < sqrt(X) < p is friable and ultrafriable."""
+    count = head.count_le(X)
+    if len(tail):
+        count += int(_coprime_upto(X // tail, q_primes).sum())
+    return count
+
+
+@lru_cache(maxsize=128)
+def _class_vector(X: int, y: int, q: int, kind: str) -> ResidueCounts:
+    """The y-ultrafriable or y-friable n <= X per class mod q, once per (X, y, q, kind);
+    the tail adds its pairs p * m <= X with m <= isqrt(X) per class."""
+    _check_modulus(q)
+    if kind == "friable":
+        head, tail = _friable_split(X, y)
+    else:
+        head, tail = _ultrafriable_split(X, pr.build_table(y), (), lambda: _residue_counter(y, q))
+    vec = head.classes_le(X, q)
+    if len(tail):
+        pairs = _residue_pairs(tail, np.arange(1, math.isqrt(X) + 1), X, q)
+        vec = tuple(c + t for c, t in zip(vec, pairs.tolist()))
+    return ResidueCounts(q, vec)
+
+
+# ---------------------------------------------------------------------------
 # public counting operations
 # ---------------------------------------------------------------------------
 
@@ -475,8 +528,11 @@ def count_ultrafriable(x, table: pr.PrimePowerTable, ctx: pr.ModulusContext | No
     Equivalently the number of divisors of N = prod_{p<=y, p∤q} p^nu_p not
     exceeding x.  x may be an int, float or Fraction; it is floored exactly.
     """
-    bound = _floor_bound(x)
-    return get_counter(table, ctx).count_le(bound)
+    X = _floor_bound(x)
+    q_primes = () if ctx is None else ctx.prime_divisors
+    if ctx is not None:
+        ctx.require_p_plus_le_y()
+    return _plain(*_ultrafriable_split(X, table, q_primes, lambda: get_counter(table, ctx)), X, q_primes)
 
 
 def count_ultrafriable_below(num: int, table: pr.PrimePowerTable,
@@ -489,12 +545,12 @@ def count_ultrafriable_below(num: int, table: pr.PrimePowerTable,
     """
     if num < 0 or den < 1:
         raise DomainError("need num >= 0 and den >= 1")
-    return get_counter(table, ctx).count_below(num, den)
+    return count_ultrafriable(max(num - 1, 0) // den, table, ctx)
 
 
 def count_ultrafriable_residues(x, table: pr.PrimePowerTable, q: int) -> ResidueCounts:
     """Exact counts of y-ultrafriable n <= x in every residue class mod q."""
-    return _residue_vector(_floor_bound(x), table.y, q)
+    return _class_vector(_floor_bound(x), table.y, q, "ultrafriable")
 
 
 def character_sum(x, table: pr.PrimePowerTable, chi) -> complex:
@@ -507,48 +563,8 @@ def character_sum(x, table: pr.PrimePowerTable, chi) -> complex:
     return chi.group.character_sum(counts, chi)
 
 
-# ---------------------------------------------------------------------------
-# friable counting
-# ---------------------------------------------------------------------------
-
-def _coprime_upto(M, q_primes):
-    """#{1 <= m <= M : (m, q) = 1} elementwise, by inclusion-exclusion over rad(q).
-
-    Only the squarefree d | rad(q) up to max(M) give a nonzero term M // d.
-    """
-    top = int(np.max(M, initial=0))
-    terms = [(1, 1)]
-    for p in q_primes:
-        terms += [(-sign, d * p) for sign, d in terms if d * p <= top]
-    return sum(sign * (M // d) for sign, d in terms)
-
-
-def _class_upto(M, c, q):
-    """#{1 <= m <= M : m ≡ c (mod q)} elementwise, for M >= 0."""
-    return (M - ((c - 1) % q + 1)) // q + 1
-
-
-def _friable_head(X: int, y: int):
-    """The rows (p, nu_p(X)) for p <= min(y, sqrt(X)), and the primes
-    sqrt(X) < p <= y as int64, where 2 <= y < X."""
-    primes = pr.build_table(y).p_arr
-    k = int(np.searchsorted(primes, math.isqrt(X), "right"))
-    rows = []
-    for p in primes[:k].tolist():
-        nu, pw = 1, p
-        while pw * p <= X:
-            pw *= p
-            nu += 1
-        rows.append((p, nu))
-    return rows, primes[k:]
-
-
 def count_friable(x, y: int, q: int = 1) -> int:
-    """Exact number of y-friable n <= x with (n, q) = 1; needs P+(q) <= y.
-
-    A divisor count of N_x over the primes p <= min(y, sqrt(x)), p ∤ q,
-    plus Buchstab's tail over sqrt(x) < p <= y (see the module docstring).
-    """
+    """Exact number of y-friable n <= x with (n, q) = 1; needs P+(q) <= y."""
     X = _friable_bound(x)
     q_primes = sorted(pr.factorize(q))
     if X == 0:
@@ -559,19 +575,12 @@ def count_friable(x, y: int, q: int = 1) -> int:
         return 1  # only n = 1 has no prime factor
     if y >= X:
         return _coprime_upto(X, q_primes)
-    rows, tail = _friable_head(X, y)
-    count = _DivisorRows((p, nu) for p, nu in rows if p not in q_primes).count_le(X)
-    if len(tail):
-        tail = tail[np.isin(tail, q_primes, invert=True)]
-        count += int(_coprime_upto(X // tail, q_primes).sum())
-    return count
+    return _plain(*_friable_split(X, y, q_primes), X, q_primes)
 
 
 def count_friable_progression(x, y: int, a: int, q: int) -> int:
     """Exact number of y-friable n <= x with n ≡ a (mod q).
 
-    A residue count of the divisors of N_x over the primes p <= min(y, sqrt(x)),
-    plus Buchstab's tail over sqrt(x) < p <= y (see the module docstring).
     q > RESIDUE_Q_BOUND raises ResourceError.
     """
     X = _friable_bound(x)
@@ -582,21 +591,10 @@ def count_friable_progression(x, y: int, a: int, q: int) -> int:
         return 0
     a %= q
     if y >= X:
-        return _class_upto(X, a, q)
+        return len(range(a or q, X + 1, q))  # every n <= X: a, a + q, ... (q, 2q, ... for a = 0)
     if y < 2:
         return int(a == 1)  # only n = 1 has no prime factor
-    count = _friable_classes(X, y, q)[a]
-    tail = _friable_head(X, y)[1]
-    if len(tail):
-        # p m ≡ a (mod q) with g = (p, q) in {1, p}: m ≡ (a/g) (p/g)^-1 (mod q/g) if g | a
-        g = np.gcd(tail, q)
-        units, where = np.unique(tail // g % q, return_inverse=True)
-        inverse = np.array([pow(u, -1, q) for u in units.tolist()], dtype=np.int64)[where]
-        Q = q // g
-        counts = _class_upto(X // tail, a // g * inverse % Q, Q)
-        count += int(counts[a % g == 0].sum())
-    return count
-
+    return _class_vector(X, y, q, "friable")[a]
 
 # ---------------------------------------------------------------------------
 # the naive sieve oracle

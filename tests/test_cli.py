@@ -10,6 +10,8 @@ import pytest
 
 from ultrafriable import (build_table, enumerate_characters, estimate_noncoprime,
                           estimate_progression, modulus_context, t3_bound)
+from ultrafriable import cli
+from ultrafriable import primes as pr
 from ultrafriable.calibration import DATA_FILE, parse_constants
 from ultrafriable.cli import COLUMNS, _fmt, build_parser, compute_row, main, parse_grid, parse_x
 
@@ -163,6 +165,15 @@ def test_usage_error_exit_2():
     assert ei.value.code == 2
 
 
+@pytest.mark.parametrize("jobs", ["-1", "x"])
+def test_negative_jobs_is_a_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as ei:
+        main(["count", "--x-grid", "1e3:1e4:3", "--y", "30", "--jobs", jobs])
+    captured = capsys.readouterr()
+    assert ei.value.code == 2 and captured.out == ""
+    assert "--jobs: need an integer >= 0" in captured.err
+
+
 @pytest.mark.parametrize("flag", ["--epsilon", "--c0", "--c2"])
 def test_fixed_constants_are_not_flags(flag):
     # eps, c0 and c2 are fixed at the values the frozen bands were calibrated at
@@ -285,6 +296,17 @@ def test_chars_bad_modulus_exit_2(capsys):
         assert captured.out == ""
         lines = captured.err.strip().splitlines()
         assert len(lines) == 1 and err in lines[0]
+
+
+def test_chars_builds_one_modulus_context(capsys, monkeypatch):
+    # the phi(q) rows of a chars run share the context of (q, y)
+    cli._chars_context.cache_clear()
+    built = []
+    real = pr.modulus_context
+    monkeypatch.setattr(pr, "modulus_context", lambda q, table: built.append(q) or real(q, table))
+    code, out = run_cli(["chars", "--q", "11", "--x", "e30", "--y", "100", "--jobs", "1"], capsys)
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 10
+    assert built == [11]
 
 
 def test_import_loads_no_scipy_or_process_pool():

@@ -154,7 +154,7 @@ def test_friable_progression_q_bound():
 
 
 # ---------------------------------------------------------------------------
-# friable counts: the divisor core below sqrt(x), Buchstab's tail above
+# both kinds: the divisor core below sqrt(x), Buchstab's tail above
 # ---------------------------------------------------------------------------
 
 @settings(max_examples=40, deadline=None)
@@ -196,10 +196,20 @@ def test_friable_classes_sum_to_plain_and_coprime_counts(x, y, q):
     assert sum(c for a, c in enumerate(vec) if math.gcd(a, q) == 1) == count_friable(x, y, q)
 
 
+@pytest.mark.parametrize("x, p", [(243, 3), (59049, 3), (4913, 17), (29791, 31), (571787, 83)])
+def test_friable_counts_at_powers_whose_float_log_falls_short(x, p):
+    # x = p^k with log(x) / log(p) just below k: nu_p(x) = k needs the exact correction
+    for y in (p, 2 * p, 101):
+        if y < x:
+            assert count_friable(x, y) == naive_oracle(x, y, mode="friable"), y
+            assert [count_friable_progression(x, y, a, 7) for a in range(7)] == \
+                [naive_oracle(x, y, a=a, q=7, mode="friable") for a in range(7)], y
+
+
 def test_friable_classes_built_once_per_x_y_q():
-    ct._friable_classes.cache_clear()
+    ct._class_vector.cache_clear()
     vec = [count_friable_progression(10**7, 5000, a, 7) for a in range(7)]
-    assert ct._friable_classes.cache_info().misses == 1
+    assert ct._class_vector.cache_info().misses == 1
     assert sum(vec) == count_friable(10**7, 5000)
 
 
@@ -209,6 +219,46 @@ def test_friable_anchors():
     assert count_friable(10**9, 1000) == 59_244_184
     assert count_friable(10**9, 10**6, 210) == 118_814_459
     assert count_friable_progression(10**7, 1000, 11, 210) == 5277
+
+
+@seed(16)
+@settings(max_examples=25, deadline=None)
+@given(yx=st.integers(min_value=2, max_value=3000).flatmap(
+           lambda y: st.tuples(st.just(y), st.integers(min_value=0, max_value=min(y * y, 10**6) - 1))),
+       q=st.sampled_from((1, 2, 6, 7, 30)))
+def test_all_four_counts_match_oracle_with_a_tail(yx, q):
+    # x < y^2, so the primes sqrt(x) < p <= y are Buchstab's tail for both kinds
+    y, x = yx
+    t = build_table(y)
+    ctx = modulus_context(q, t)
+    if ctx.p_plus_le_y:
+        assert count_ultrafriable(x, t, ctx) == naive_oracle(x, y, q=q)
+        assert count_friable(x, y, q) == naive_oracle(x, y, q=q, mode="friable")
+    assert list(count_ultrafriable_residues(x, t, q).counts) == \
+        [naive_oracle(x, y, a=a, q=q) for a in range(q)]
+    assert [count_friable_progression(x, y, a, q) for a in range(q)] == \
+        [naive_oracle(x, y, a=a, q=q, mode="friable") for a in range(q)]
+
+
+def test_split_anchors_past_sqrt_x():
+    # y = 10^5 > sqrt(10^8): heads over p <= 10^4, tails over 10^4 < p <= 10^5
+    assert count_ultrafriable(10**8, build_table(10**5)) == 55_430_831
+    ct._class_vector.cache_clear()
+    vec = [count_friable_progression(10**8, 10**5, a, 210) for a in range(210)]
+    assert ct._class_vector.cache_info().misses == 1
+    assert vec[1] == 212_562
+    assert sum(vec) == count_friable(10**8, 10**5) == 55_485_141
+
+
+@pytest.mark.parametrize("x", [1000, 1368, 1369, 1370])
+def test_ultrafriable_counts_with_prime_of_q_above_sqrt_x(x):
+    # 74 = 2 * 37 and 37^2 = 1369: at y >= 37 the prime 37 | q sits in the tail
+    # for x < 1369 and in the head rows from 1369 on
+    for y in (37, 38, 200):
+        t = build_table(y)
+        assert count_ultrafriable(x, t, modulus_context(74, t)) == naive_oracle(x, y, q=74), (x, y)
+        assert list(count_ultrafriable_residues(x, t, 74).counts) == \
+            [naive_oracle(x, y, a=a, q=74) for a in range(74)], (x, y)
 
 
 def test_friable_y_at_least_x():
@@ -598,6 +648,7 @@ def test_leaf_lists_are_shared_across_queries_and_engines(table100):
     # the y = 100 residue engines mod 7, 30 and 210 have the same rows
     x = int(math.exp(25))
     ct._all_divisors.cache_clear()
+    ct._class_vector.cache_clear()  # cold: nothing cached by an earlier test
     ct.get_residue_counter(table100, 7).count_le(x)
     misses = ct._all_divisors.cache_info().misses
     assert misses > 0
@@ -728,8 +779,7 @@ def test_class_vectors_match_oracle_at_oracle_scale(q, y, x, sweep):
     # every class a mod q of both class counts; with sweep, the products are
     # never binned where the sweep fills fewer cells, and its blocks are 16 rows
     t = build_table(y)
-    ct._residue_vector.cache_clear()
-    ct._friable_classes.cache_clear()
+    ct._class_vector.cache_clear()
     with mock.patch.object(ct, "_DIRECT_PAIRS", 0 if sweep else ct._DIRECT_PAIRS), \
             mock.patch.object(ct, "_CELLS", 1 if sweep else ct._CELLS):
         ultra = count_ultrafriable_residues(x, t, q).counts
