@@ -7,10 +7,12 @@ is y-ultrafriable and y-friable.  The count is the divisors <= x of head rows
 over p <= sqrt(x), plus the tail p * m over the primes sqrt(x) < p <= y: the
 m coprime to q by inclusion-exclusion over rad(q), or per class mod q the
 pairs of the tail primes with 1..isqrt(x).  The kinds differ in the head
-only.  The y-ultrafriable n coprime to q are the divisors of N = prod p^nu_p
-over p <= y, p ∤ q: their head is the prefix of these rows over
-p <= sqrt(x), all of them when y <= sqrt(x).  A y-friable head is the rows
-(p, nu_p(x)), p^nu_p(x) <= x < p^(nu_p(x)+1).  A head is one engine
+only, and one builder (``_head_and_tail``) makes both from the prime
+table's arrays.  The y-ultrafriable n coprime to q are the divisors of
+N = prod p^nu_p over p <= y, p ∤ q: their head is the prefix of these rows
+over p <= sqrt(x), or the cached engine of all of them when y <= sqrt(x).
+A y-friable head is the rows (p, nu_p(x)), p^nu_p(x) <= x < p^(nu_p(x)+1).
+Every set of rows is made by ``_coprime_rows``, and a head is one engine
 (``_DivisorRows``) with two queries: ``count_le(bound)``, its divisors
 <= bound, and ``classes_le(bound, q)``, those per class mod q.
 
@@ -328,10 +330,12 @@ class _DivisorRows:
     """The (p, nu_p) rows of N = prod p^nu_p, ascending in p, and the two
     exact queries on their divisors.
 
+    The rows are a tuple of Python int pairs, made by ``_coprime_rows`` from
+    the table's arrays, and engines over the same primes share one tuple.
     Each query builds the half lists it needs at its own bound, from leaf
     lists shared through ``_all_divisors``.  N and tau(N) are computed on
-    first use, never for an engine whose rows only feed heads over
-    p <= sqrt(x): at y = 10^6, N has 1.4 million bits.
+    first use, never for rows that only feed heads over p <= sqrt(x): at
+    y = 10^6, N has 1.4 million bits.
     """
 
     tail_divs = ()  # an engine holds no divisor list; the leaf lists are shared
@@ -370,12 +374,16 @@ class _DivisorRows:
         return tuple(_residue_pairs(*_halves(self.rows, bound), bound, q).tolist())
 
 
+def _coprime_rows(p: np.ndarray, nu: np.ndarray, q_primes) -> tuple:
+    """The rows (p, nu) as Python ints, without the primes of q."""
+    return tuple(r for r in zip(p.tolist(), nu.tolist()) if r[0] not in q_primes)
+
+
 class DivisorCounter(_DivisorRows):
     """Counts divisors of N = prod p^nu_p (p <= y, p ∤ q) below a bound."""
 
     def __init__(self, table: pr.PrimePowerTable, q_primes=()):
-        pset = set(q_primes)
-        super().__init__((p, n) for p, n in zip(table.primes, table.nu) if p not in pset)
+        super().__init__(_coprime_rows(table.p_arr, table.nu_arr, q_primes))
 
 
 @lru_cache(maxsize=32)
@@ -402,11 +410,12 @@ class ResidueCounts:
 
 
 class ResidueDivisorCounter(_DivisorRows):
-    """Residue-class version of DivisorCounter over all primes p <= y."""
+    """Residue-class version of DivisorCounter over all primes p <= y; every
+    modulus shares the rows tuple of the cached plain engine for y."""
 
     def __init__(self, table: pr.PrimePowerTable, q: int):
         _check_modulus(q)
-        super().__init__(zip(table.primes, table.nu))
+        super().__init__(get_counter(table).rows)
         self.q = q
 
     def count_le(self, bound: int) -> ResidueCounts:
@@ -423,11 +432,6 @@ def _counter(y: int, q_primes: tuple) -> DivisorCounter:
     return DivisorCounter(pr.build_table(y), q_primes)
 
 
-@lru_cache(maxsize=32)
-def _residue_counter(y: int, q: int) -> ResidueDivisorCounter:
-    return ResidueDivisorCounter(pr.build_table(y), q)
-
-
 def get_counter(table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None) -> DivisorCounter:
     """The cached plain engine for (y, q); the counting identities need P+(q) <= y."""
     if ctx is None:
@@ -437,7 +441,8 @@ def get_counter(table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None)
 
 
 def get_residue_counter(table: pr.PrimePowerTable, q: int) -> ResidueDivisorCounter:
-    return _residue_counter(table.y, q)
+    """A class engine mod q over the cached plain engine's rows for y."""
+    return ResidueDivisorCounter(table, q)
 
 
 # ---------------------------------------------------------------------------
@@ -455,42 +460,33 @@ def _coprime_upto(M, q_primes):
     return sum(sign * (M // d) for sign, d in terms)
 
 
-def _tail(X: int, y: int, q_primes=()) -> np.ndarray:
-    """The primes sqrt(X) < p <= y, p ∤ q, as int64; empty when y <= sqrt(X)."""
+def _head_and_tail(X: int, y: int, q_primes: tuple, kind: str):
+    """(head, tail) of the y-ultrafriable or y-friable n <= X coprime to q.
+
+    The tail is the primes sqrt(X) < p <= y, p ∤ q.  The ultrafriable head is
+    the cached engine when y <= sqrt(X), with no tail, and otherwise
+    the rows (p, nu_p) over p <= sqrt(X): a divisor <= X has p^e <= X, so no
+    row needs a cap, and the engine of a large y is never built.  The
+    friable head, for 2 <= y < X <= FRIABLE_X_BOUND, is the rows (p, nu_p(X))
+    over p <= min(y, sqrt(X)).
+    """
     s = math.isqrt(X)
-    if y <= s:
-        return np.zeros(0, dtype=np.int64)
-    primes = pr.build_table(y).p_arr
-    tail = primes[primes.searchsorted(s, "right"):]
-    for p in q_primes:
-        if p > s:
-            tail = tail[tail != p]
-    return tail
-
-
-def _ultrafriable_split(X: int, table: pr.PrimePowerTable, q_primes, engine):
-    """(head, tail) of the y-ultrafriable n <= X coprime to q: the cached engine
-    that ``engine()`` returns when the tail is empty, else the engine's rows
-    over p <= sqrt(X), read off the table (the engine of a large y is never
-    built) with the tail primes.  A divisor <= X has p^e <= X: no row needs a cap."""
-    tail = _tail(X, table.y, q_primes)
-    if not len(tail):
-        return engine(), tail
-    k = int(table.p_arr.searchsorted(math.isqrt(X), "right"))
-    return _DivisorRows(r for r in zip(table.primes[:k], table.nu[:k]) if r[0] not in q_primes), tail
-
-
-def _friable_split(X: int, y: int, q_primes=()):
-    """(head, tail) of the y-friable n <= X, for 2 <= y < X <= FRIABLE_X_BOUND:
-    the rows (p, nu_p(X)) over p <= min(y, sqrt(X)), p ∤ q, and the tail primes."""
-    primes = pr.build_table(y).p_arr
-    p = primes[:primes.searchsorted(math.isqrt(X), "right")]
-    nu = (math.log(X) / np.log(p)).astype(np.int64)
-    # exact corrections of the float floor of log_p(X); p^(nu+1) <= X * p^2 <= X^2 fits int64
-    nu += p ** (nu + 1) <= X
-    nu -= p ** nu > X
-    head = _DivisorRows(r for r in zip(p.tolist(), nu.tolist()) if r[0] not in q_primes)
-    return head, _tail(X, y, q_primes)
+    if kind == "ultrafriable" and y <= s:
+        return _counter(y, q_primes), ()
+    table = pr.build_table(y)
+    k = int(table.p_arr.searchsorted(s, "right"))
+    p, tail = table.p_arr[:k], table.p_arr[k:]
+    if kind == "ultrafriable":
+        nu = table.nu_arr[:k]
+    else:
+        nu = (math.log(X) / np.log(p)).astype(np.int64)
+        # exact corrections of the float floor of log_p(X); p^(nu+1) <= X * p^2 <= X^2 fits int64
+        nu += p ** (nu + 1) <= X
+        nu -= p ** nu > X
+    for r in q_primes:
+        if r > s:
+            tail = tail[tail != r]
+    return _DivisorRows(_coprime_rows(p, nu, q_primes)), tail
 
 
 def _plain(head: _DivisorRows, tail: np.ndarray, X: int, q_primes) -> int:
@@ -507,10 +503,7 @@ def _class_vector(X: int, y: int, q: int, kind: str) -> ResidueCounts:
     """The y-ultrafriable or y-friable n <= X per class mod q, once per (X, y, q, kind);
     the tail adds its pairs p * m <= X with m <= isqrt(X) per class."""
     _check_modulus(q)
-    if kind == "friable":
-        head, tail = _friable_split(X, y)
-    else:
-        head, tail = _ultrafriable_split(X, pr.build_table(y), (), lambda: _residue_counter(y, q))
+    head, tail = _head_and_tail(X, y, (), kind)
     vec = head.classes_le(X, q)
     if len(tail):
         pairs = _residue_pairs(tail, np.arange(1, math.isqrt(X) + 1), X, q)
@@ -532,7 +525,7 @@ def count_ultrafriable(x, table: pr.PrimePowerTable, ctx: pr.ModulusContext | No
     q_primes = () if ctx is None else ctx.prime_divisors
     if ctx is not None:
         ctx.require_p_plus_le_y()
-    return _plain(*_ultrafriable_split(X, table, q_primes, lambda: get_counter(table, ctx)), X, q_primes)
+    return _plain(*_head_and_tail(X, table.y, q_primes, "ultrafriable"), X, q_primes)
 
 
 def count_ultrafriable_below(num: int, table: pr.PrimePowerTable,
@@ -566,7 +559,7 @@ def character_sum(x, table: pr.PrimePowerTable, chi) -> complex:
 def count_friable(x, y: int, q: int = 1) -> int:
     """Exact number of y-friable n <= x with (n, q) = 1; needs P+(q) <= y."""
     X = _friable_bound(x)
-    q_primes = sorted(pr.factorize(q))
+    q_primes = tuple(sorted(pr.factorize(q)))
     if X == 0:
         return 0
     if q_primes and q_primes[-1] > y:
@@ -575,7 +568,7 @@ def count_friable(x, y: int, q: int = 1) -> int:
         return 1  # only n = 1 has no prime factor
     if y >= X:
         return _coprime_upto(X, q_primes)
-    return _plain(*_friable_split(X, y, q_primes), X, q_primes)
+    return _plain(*_head_and_tail(X, y, q_primes, "friable"), X, q_primes)
 
 
 def count_friable_progression(x, y: int, a: int, q: int) -> int:

@@ -29,7 +29,7 @@ def sieve_primes(n: int) -> np.ndarray:
     for p in range(2, math.isqrt(n) + 1):
         if mask[p]:
             mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+    return np.flatnonzero(mask).astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=None)
@@ -54,17 +54,15 @@ def nth_prime(k: int) -> int:
 class PrimePowerTable:
     """Primes p <= y with their maximal exponents nu_p (p^nu_p <= y).
 
+    The table is its read-only arrays ``p_arr``, ``nu_arr`` (int64, ascending
+    in p) and ``logp_arr``; ``entries`` and ``nu_of`` give exact Python ints.
     ``psi_y`` is the Chebyshev function value sum(nu_p * log p) in natural
     logs; exp(psi_y) is the modulus-free product N of maximal prime powers,
     whose divisors are exactly the y-ultrafriable integers.
     """
 
     y: int
-    primes: tuple[int, ...]
-    nu: tuple[int, ...]
-    max_powers: tuple[int, ...]
     psi_y: float
-    # numpy views used by the vectorised numeric code
     p_arr: np.ndarray = field(repr=False)
     nu_arr: np.ndarray = field(repr=False)
     logp_arr: np.ndarray = field(repr=False)
@@ -72,25 +70,29 @@ class PrimePowerTable:
     @property
     def entries(self) -> list[tuple[int, int, float]]:
         """Ascending list of (p, nu_p, log p)."""
-        return [(p, n, lp) for p, n, lp in zip(self.primes, self.nu, self.logp_arr)]
+        return list(zip(self.p_arr.tolist(), self.nu_arr.tolist(), self.logp_arr.tolist()))
 
     def nu_of(self, p: int) -> int:
         """nu_p for a prime p <= y, 0 if p > y."""
-        i = np.searchsorted(self.p_arr, p)
-        if i < len(self.primes) and self.primes[i] == p:
-            return self.nu[i]
+        i = int(self.p_arr.searchsorted(p))
+        if i < len(self.p_arr) and self.p_arr.item(i) == p:
+            return self.nu_arr.item(i)
         return 0
 
     def mask_coprime(self, prime_divisors) -> np.ndarray:
         """Boolean mask over table entries selecting p not dividing q."""
         if not prime_divisors:
-            return np.ones(len(self.primes), dtype=bool)
+            return np.ones(len(self.p_arr), dtype=bool)
         return ~np.isin(self.p_arr, np.asarray(list(prime_divisors), dtype=np.int64))
 
 
 @lru_cache(maxsize=64)
 def build_table(y: int) -> PrimePowerTable:
     """Sieve primes up to y and compute the maximal exponents nu_p.
+
+    Only the p <= sqrt(y) have nu_p > 1.  The primes with p^e <= y are a
+    prefix of them, whose powers grow one exponent a step in int64 (each
+    p^e <= y * sqrt(y)): at most log2(y) steps.
 
     Raises DomainError for y < 2 and ResourceError for y beyond the memory
     budget ``DEFAULT_Y_BUDGET`` (10^8).
@@ -99,32 +101,18 @@ def build_table(y: int) -> PrimePowerTable:
         raise DomainError(f"need y >= 2, got {y}")
     if y > DEFAULT_Y_BUDGET:
         raise ResourceError(f"y={y} exceeds the configured budget {DEFAULT_Y_BUDGET}")
-    ps = sieve_primes(y)
-    primes, nus, powers = [], [], []
-    for p in ps.tolist():
-        nu, pw = 1, p
-        while pw * p <= y:
-            pw *= p
-            nu += 1
-        primes.append(p)
-        nus.append(nu)
-        powers.append(pw)
-    p_arr = np.array(primes, dtype=np.int64)
-    nu_arr = np.array(nus, dtype=np.int64)
+    p_arr = sieve_primes(y)
+    nu_arr = np.ones(len(p_arr), dtype=np.int64)
+    pw = p_arr[:p_arr.searchsorted(math.isqrt(y), "right")]  # p^nu_p of the p that may grow
+    while len(pw):
+        pw = pw * p_arr[:len(pw)]
+        pw = pw[:pw.searchsorted(y, "right")]
+        nu_arr[:len(pw)] += 1
     logp_arr = np.log(p_arr.astype(np.float64))
     psi_y = float(np.dot(nu_arr.astype(np.float64), logp_arr))
     for arr in (p_arr, nu_arr, logp_arr):
         arr.flags.writeable = False
-    return PrimePowerTable(
-        y=y,
-        primes=tuple(primes),
-        nu=tuple(nus),
-        max_powers=tuple(powers),
-        psi_y=psi_y,
-        p_arr=p_arr,
-        nu_arr=nu_arr,
-        logp_arr=logp_arr,
-    )
+    return PrimePowerTable(y=y, psi_y=psi_y, p_arr=p_arr, nu_arr=nu_arr, logp_arr=logp_arr)
 
 
 def factorize(q: int) -> dict[int, int]:
@@ -214,23 +202,14 @@ def psi_q(table: PrimePowerTable, ctx: ModulusContext) -> float:
 def tau_N(table: PrimePowerTable, ctx: ModulusContext) -> int:
     """Exact divisor count prod(1 + nu_p) over p <= y, p not dividing q."""
     ctx.require_p_plus_le_y()
-    out = 1
-    pset = set(ctx.prime_divisors)
-    for p, n in zip(table.primes, table.nu):
-        if p not in pset:
-            out *= 1 + n
-    return out
+    return math.prod((table.nu_arr[table.mask_coprime(ctx.prime_divisors)] + 1).tolist())
 
 
 def N_q(table: PrimePowerTable, ctx: ModulusContext) -> int:
     """Exact product of maximal prime powers p^nu_p over p <= y, p ∤ q."""
     ctx.require_p_plus_le_y()
-    pset = set(ctx.prime_divisors)
-    out = 1
-    for p, pw in zip(table.primes, table.max_powers):
-        if p not in pset:
-            out *= pw
-    return out
+    keep = table.mask_coprime(ctx.prime_divisors)
+    return math.prod((table.p_arr[keep] ** table.nu_arr[keep]).tolist())  # each p^nu_p <= y
 
 
 EPSILON = 0.1  # the fixed eps > 0 of the theorems; the frozen bands were calibrated at it

@@ -450,6 +450,22 @@ def test_engine_caches_are_shared(table100):
     assert _counter.cache_info().hits == hits + 1
 
 
+def test_one_engine_per_y_and_primes_of_q():
+    # at y <= sqrt(x) the class vectors of every modulus and the plain count
+    # read one engine, the plain one for (y, no primes of q)
+    t = build_table(97)
+    x = int(math.exp(20))
+    assert t.y <= math.isqrt(x)
+    ct._counter.cache_clear()
+    ct._class_vector.cache_clear()
+    rc7 = count_ultrafriable_residues(x, t, 7)
+    rc30 = count_ultrafriable_residues(x, t, 30)
+    assert ct._counter.cache_info().misses == 1
+    assert rc7.total() == rc30.total() == count_ultrafriable(x, t)
+    assert ct._counter.cache_info().misses == 1
+    assert ct.get_residue_counter(t, 7).rows is ct.get_counter(t).rows
+
+
 # ---------------------------------------------------------------------------
 # the meet-in-the-middle engine: anchors computed with the former pruned walk
 # ---------------------------------------------------------------------------
@@ -567,7 +583,7 @@ def test_bounds_above_int64_match_powers_of_two_split(y, lx):
     assert x >= 2**63
     odd = modulus_context(2, t)
     assert count_ultrafriable(x, t) == \
-        sum(count_ultrafriable(x // 2**e, t, odd) for e in range(t.nu[0] + 1))
+        sum(count_ultrafriable(x // 2**e, t, odd) for e in range(t.nu_of(2) + 1))
 
 
 def test_lowered_int64_limit_splits_at_oracle_scale():

@@ -6,6 +6,7 @@ import pytest
 from ultrafriable import (
     DomainError,
     PreconditionError,
+    N_q,
     ResourceError,
     build_table,
     classify_regime,
@@ -136,6 +137,20 @@ def test_tau_N_quotient_identity(table100):
             if p <= 100:
                 lift *= 1 + n
         assert tau_N(table100, ctx) * lift == tau_full
+
+
+def test_table_accessors_return_python_ints(table100):
+    # exact Python ints, not numpy scalars: products of them must not wrap at 2^63
+    assert type(table100.nu_of(2)) is int and type(table100.nu_of(101)) is int
+    assert all(type(p) is int and type(n) is int for p, n, _ in table100.entries)
+    ctx = modulus_context(210, table100)
+    assert all(type(n) is int for n in ctx.nu_divisors)
+    assert type(tau_N(table100, ctx)) is int and type(N_q(table100, ctx)) is int
+    primes = [p for p in range(2, 101) if all(p % d for d in range(2, p))]
+    for q in (1, 6, 210):
+        brute = math.prod(p ** brute_nu(p, 100) for p in primes if q % p)
+        assert brute > 2**63
+        assert N_q(table100, modulus_context(q, table100)) == brute
 
 
 def test_tau_N_precondition(table10):

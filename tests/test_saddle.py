@@ -211,7 +211,7 @@ def test_alpha_at_x_equal_y():
     # relative to 1: above for y in {3, 5, 7}, below from y = 11 on
     for y, above in ((3, True), (5, True), (7, True), (11, False), (100, False)):
         table = build_table(y)
-        s1 = float(np.dot(table.logp_arr, 1.0 / (np.array(table.primes, float) - 1)))
+        s1 = float(np.dot(table.logp_arr, 1.0 / (table.p_arr.astype(float) - 1)))
         alpha = solve_alpha(y, y).sigma
         if above:
             assert s1 > math.log(y) and alpha > 1
