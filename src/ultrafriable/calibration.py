@@ -41,8 +41,8 @@ def _beta_sweep(points):
     return rows
 
 
-def calibrate_saddle_bands(fast: bool = False) -> dict[str, float]:
-    ys = (30, 60, 100, 200, 400) if fast else (30, 60, 100, 200, 400, 1000)
+def calibrate_saddle_bands() -> dict[str, float]:
+    ys = (30, 60, 100, 200, 400, 1000)
     ts = np.linspace(0.06, 0.46, 9)
     rows = _beta_sweep([(y, float(t)) for y in ys for t in ts])
 
@@ -58,8 +58,7 @@ def calibrate_saddle_bands(fast: bool = False) -> dict[str, float]:
         ypw_lo, ypw_hi = min(ypw_lo, r), max(ypw_hi, r)
 
     alpha_K = 0.0
-    ys_a = (1000, 10000) if fast else (1000, 10000, 100000)
-    for y in ys_a:
+    for y in (1000, 10000, 100000):
         for u in (2.0, 4.0, 8.0, 16.0):
             x = math.exp(u * math.log(y))
             res = sd.solve_alpha(x, y)
@@ -77,12 +76,11 @@ def calibrate_saddle_bands(fast: bool = False) -> dict[str, float]:
     }
 
 
-def calibrate_delta_remark(fast: bool = False) -> dict[str, float]:
+def calibrate_delta_remark() -> dict[str, float]:
     """Delta_q * eta / (1 + omega(q)) should be bounded above and below
     when 0 < eta <= 1 (so D_q is comparable to omega(q))."""
     lo, hi = math.inf, 0.0
-    ys = (100, 300) if fast else (100, 300, 1000)
-    for y in ys:
+    for y in (100, 300, 1000):
         table = pr.build_table(y)
         for eta in (0.25, 0.5, 1.0):
             lx = table.psi_y / (2.0 + eta)
@@ -95,17 +93,11 @@ def calibrate_delta_remark(fast: bool = False) -> dict[str, float]:
     return {"delta_remark_lo": lo / _HEADROOM, "delta_remark_hi": hi * _HEADROOM}
 
 
-def _t1_grid():
-    lxs = np.linspace(20.0, 40.0, 10)
-    return [float(lx) for lx in lxs]
-
-
-def calibrate_t1(fast: bool = False) -> dict[str, float]:
+def calibrate_t1() -> dict[str, float]:
     table = pr.build_table(100)
     ratio_max = 0.0
     q1_C = 0.0
-    lxs = _t1_grid() if not fast else _t1_grid()[::3]
-    for lx in lxs:
+    for lx in np.linspace(20.0, 40.0, 10):
         x = math.exp(lx)
         for q in (1, 6, 30):
             ctx = pr.modulus_context(q, table)
@@ -189,11 +181,11 @@ def calibrate_t3() -> dict[str, float]:
     return {"t3_c1": c1_min / _HEADROOM}
 
 
-def run_calibration(fast: bool = False) -> dict[str, float]:
+def run_calibration() -> dict[str, float]:
     out: dict[str, float] = {}
-    out.update(calibrate_saddle_bands(fast))
-    out.update(calibrate_delta_remark(fast))
-    out.update(calibrate_t1(fast))
+    out.update(calibrate_saddle_bands())
+    out.update(calibrate_delta_remark())
+    out.update(calibrate_t1())
     out.update(calibrate_t2())
     out.update(calibrate_t4_t5())
     out.update(calibrate_r6())

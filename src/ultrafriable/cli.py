@@ -1,6 +1,10 @@
 """Command-line front end: single queries, sweeps, calibration, CSV/JSON.
 
 Subcommands: count, saddle, estimate, compare, chars, sweep, calibrate.
+Each declares only the flags it reads, so the parser alone decides which
+flags may be given: an unread flag, a missing x or y, or a point given with
+its grid (--x with --x-grid) is a usage error, exit 2.  ``sweep`` is
+``compare`` under another name.
 Rows follow one fixed column schema across all modes (unused cells stay
 empty); re-running an identical configuration yields byte-identical rows.
 x accepts decimal (123), scientific (1e6) and log-space (e30 or e^30)
@@ -12,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -82,7 +87,10 @@ def parse_grid(text: str, parser=parse_x) -> list:
         llo, lhi = math.log(lo), math.log(hi)
         inner = [math.exp(llo + i * (lhi - llo) / (n - 1)) for i in range(1, n - 1)]
         return [lo, *inner, hi]
-    return [parser(p) for p in text.split(",") if p.strip()]
+    points = [parser(p) for p in text.split(",") if p.strip()]
+    if not points:
+        raise ValueError(f"grid {text!r} has no points")
+    return points
 
 
 def _fmt(v) -> str:
@@ -198,7 +206,7 @@ def _dispatch(spec: dict, row: dict):
             row["budget"] = diag.bound_theta1
             row["error_over_budget"] = diag.exact_ratio / diag.bound_theta1
             row["u"] = diag.u
-            row["regime"] = pr.classify_regime(x, table).kind
+            row["regime"] = diag.regime.kind
         return
 
     table = pr.build_table(y)
@@ -306,61 +314,73 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
-def _add_common(sp):
-    sp.add_argument("--x", type=parse_x, default=None)
-    sp.add_argument("--x-grid", type=str, default=None)
-    sp.add_argument("--y", type=int, default=None)
-    sp.add_argument("--y-grid", type=str, default=None)
-    sp.add_argument("--q", type=int, default=None)
-    sp.add_argument("--q-grid", type=str, default=None)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--a-grid", type=str, default=None)
-    sp.add_argument("--variant", type=str, default=None,
-                    help="T1i|T1ii|T1iii|REMC|T2|T4|T5|R6|UPS, or count kind, comma list for sweep")
-    sp.add_argument("--c1", type=float, default=es.DEFAULT_C1)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--jobs", type=_jobs, default=0,
-                    help="worker processes for sweep rows; 0 = available parallelism")
+_OUTPUT = ("format", "out", "jobs")
+_ESTIMATE = ("variant", "c1", *_OUTPUT)
+
+# name, help, the axes it reads (each a point or a grid), the other flags it reads
+_SUBCOMMANDS = (
+    ("count", "exact counts (ultrafriable by default, --variant friable)", "xyqa",
+     ("variant", *_OUTPUT)),
+    ("saddle", "solve the saddle equations at (x, y)", "xy", _OUTPUT),
+    ("estimate", "main term and error budget for a theorem variant", "xyqa", _ESTIMATE),
+    ("compare", "exact count vs estimate with error/budget ratio", "xyqa", _ESTIMATE),
+    ("chars", "character table and character-sum diagnostics", "", ("x", "y", "q", "c1", *_OUTPUT)),
+    ("sweep", "compare over the full grid cross-product", "xyqa", _ESTIMATE),
+    ("calibrate", "run band calibration, print key=value constants", "", ("out",)),
+)
+
+_FLAGS = {
+    "x": {"type": parse_x},
+    "y": {"type": int},
+    "q": {"type": int},
+    "a": {"type": int},
+    "variant": {"help": "T1i|T1ii|T1iii|REMC|T2|T4|T5|R6|UPS, or count kind; comma list"},
+    "c1": {"type": float, "default": es.DEFAULT_C1, "help": "c1 of the T4, R6 and chars budgets"},
+    "format": {"choices": ("csv", "json"), "default": "csv"},
+    "out": {},
+    "jobs": {"type": _jobs, "default": 0,
+             "help": "worker processes for sweep rows; 0 = available parallelism"},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, declaring only the flags it reads.
+
+    An axis takes a point (--x) or a grid (--x-grid), not both, and the x and
+    y axes are required; chars reads x and y as points only and requires q.
+    """
     ap = argparse.ArgumentParser(
         prog="ultrafriable",
         description="Exact ultrafriable/friable counts and their saddle-point estimates.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, descr in (
-        ("count", "exact counts (ultrafriable by default, --variant friable)"),
-        ("saddle", "solve the saddle equations at (x, y)"),
-        ("estimate", "main term and error budget for a theorem variant"),
-        ("compare", "exact count vs estimate with error/budget ratio"),
-        ("chars", "character table and character-sum diagnostics"),
-        ("sweep", "compare over the full grid cross-product"),
-    ):
-        _add_common(sub.add_parser(name, help=descr))
-    cp = sub.add_parser("calibrate", help="run band calibration, print key=value constants")
-    cp.add_argument("--fast", action="store_true", help="smaller sweep grids")
-    cp.add_argument("--out", type=str, default=None)
+    for name, descr, axes, flags in _SUBCOMMANDS:
+        sp = sub.add_parser(name, help=descr)
+        for axis in axes:
+            group = sp.add_mutually_exclusive_group(required=axis in "xy")
+            group.add_argument(f"--{axis}", **_FLAGS[axis])
+            group.add_argument(f"--{axis}-grid", metavar="GRID", help="comma list, or lo:hi:n log-spaced")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **_FLAGS[flag], required=(name, flag) == ("chars", "q"))
     return ap
 
 
-def _expand_grids(args, modes_variants: list[str]) -> list[dict]:
-    xs = parse_grid(args.x_grid) if args.x_grid else [args.x]
-    ys = [int(v) for v in parse_grid(args.y_grid, parser=float)] if args.y_grid else [args.y]
-    qs = [int(v) for v in parse_grid(args.q_grid, parser=float)] if args.q_grid else [args.q]
-    sas = [int(v) for v in parse_grid(args.a_grid, parser=float)] if args.a_grid else [args.a]
-    specs = []
-    for variant in modes_variants:
-        for x in xs:
-            for y in ys:
-                for q in qs:
-                    for a in sas:
-                        specs.append({
-                            "mode": args.command if args.command != "sweep" else "compare",
-                            "x": x, "y": y, "q": q, "a": a, "variant": variant, "c1": args.c1,
-                        })
-    return specs
+def _axis_values(opts: dict, axis: str) -> list:
+    """The points of one axis: its grid if given, else its point (None if unread)."""
+    grid = opts.get(f"{axis}_grid")
+    if grid is None:
+        return [opts.get(axis)]
+    return parse_grid(grid) if axis == "x" else [int(v) for v in parse_grid(grid, parser=float)]
+
+
+def _expand_grids(args) -> list[dict]:
+    opts = vars(args)
+    mode = "compare" if args.command == "sweep" else args.command
+    variants = opts["variant"].split(",") if opts.get("variant") else [None]
+    c1 = opts.get("c1", es.DEFAULT_C1)
+    axes = [_axis_values(opts, axis) for axis in "xyqa"]
+    return [{"mode": mode, "x": x, "y": y, "q": q, "a": a, "variant": variant, "c1": c1}
+            for variant in variants for x, y, q, a in itertools.product(*axes)]
 
 
 def _compute_all(specs: list[dict], jobs: int) -> list[dict]:
@@ -377,17 +397,16 @@ def _compute_all(specs: list[dict], jobs: int) -> list[dict]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    ap = build_parser()
+    args = ap.parse_args(argv)
 
     if args.command == "calibrate":
-        text = cal.format_constants(cal.run_calibration(fast=args.fast))
-        return _emit(text, args.out)
+        return _emit(cal.format_constants(cal.run_calibration()), args.out)
 
     t0 = time.perf_counter()
     if args.command == "chars":
-        if args.q is None:
-            print("chars needs --q", file=sys.stderr)
-            return 2
+        if (args.x is None) != (args.y is None):
+            ap.error("chars takes --x and --y together, or neither")
         try:
             n_chars = ch.character_group(args.q).phi_q
         except UltrafriableError as exc:
@@ -397,19 +416,11 @@ def main(argv=None) -> int:
             "mode": "chars", "x": args.x, "y": args.y, "q": args.q, "char_index": i, "c1": args.c1,
         } for i in range(n_chars)]
     else:
-        variants = (args.variant.split(",") if args.variant else [None])
         try:
-            specs = _expand_grids(args, variants)
+            specs = _expand_grids(args)
         except ValueError as exc:  # a malformed grid, or an endpoint past the float range
             print(f"{args.command}: {exc}", file=sys.stderr)
             return 2
-        for s in specs:
-            if s["x"] is None or (s["y"] is None and s["mode"] != "count"):
-                print(f"{args.command} needs --x and --y", file=sys.stderr)
-                return 2
-            if s["y"] is None:
-                print(f"{args.command} needs --y", file=sys.stderr)
-                return 2
 
     rows = _compute_all(specs, args.jobs)
     elapsed = time.perf_counter() - t0

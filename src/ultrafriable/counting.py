@@ -476,13 +476,7 @@ def _head_and_tail(X: int, y: int, q_primes: tuple, kind: str):
     table = pr.build_table(y)
     k = int(table.p_arr.searchsorted(s, "right"))
     p, tail = table.p_arr[:k], table.p_arr[k:]
-    if kind == "ultrafriable":
-        nu = table.nu_arr[:k]
-    else:
-        nu = (math.log(X) / np.log(p)).astype(np.int64)
-        # exact corrections of the float floor of log_p(X); p^(nu+1) <= X * p^2 <= X^2 fits int64
-        nu += p ** (nu + 1) <= X
-        nu -= p ** nu > X
+    nu = table.nu_arr[:k] if kind == "ultrafriable" else pr.max_exponents(p, X)
     for r in q_primes:
         if r > s:
             tail = tail[tail != r]

@@ -390,6 +390,7 @@ class T3Diagnostic:
     bound_theta1: float
     exact_ratio: float
     u: float
+    regime: pr.RegimeTag
 
 
 def t3_bound(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext, chi,
@@ -415,4 +416,4 @@ def t3_bound(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext, chi,
     s = ct.character_sum(x, table, chi)
     uq = ct.count_ultrafriable_residues(x, table, ctx.q).coprime_total()
     return T3Diagnostic(bound_theta0=b0, bound_theta1=b1,
-                        exact_ratio=abs(s) / uq, u=u)
+                        exact_ratio=abs(s) / uq, u=u, regime=regime)

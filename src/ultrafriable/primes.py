@@ -2,9 +2,9 @@
 
 Everything downstream (exact counting, Dirichlet series, estimators) is a
 function of the primes p <= y together with the largest exponent nu_p such
-that p^nu_p <= y.  The exponents are found by exact integer multiplication,
-never by floating ``log y / log p``, so boundary cases like y = p^k are
-handled correctly.
+that p^nu_p <= y.  The exponents (``max_exponents``) start from the float
+floor of ``log y / log p``, which is off by at most one, and are corrected
+exactly in integers, so boundary cases like y = p^k are handled correctly.
 """
 
 from __future__ import annotations
@@ -50,6 +50,20 @@ def nth_prime(k: int) -> int:
     return primes[k - 1]
 
 
+def max_exponents(p: np.ndarray, bound: int) -> np.ndarray:
+    """The largest e with p^e <= bound for each prime of the int64 array p.
+
+    The float floor of log(bound) / log(p), off by at most one, is corrected
+    up or down by one in int64.  That is exact for primes p <= bound <=
+    3 * 10^9: no power formed exceeds p^(e+2) <= bound * p^2 for p^2 <= bound,
+    or p^3 for the larger p, so none exceeds bound^2 < 2^63.
+    """
+    e = (math.log(bound) / np.log(p)).astype(np.int64)
+    e += p ** (e + 1) <= bound
+    e -= p ** e > bound
+    return e
+
+
 @dataclass(frozen=True)
 class PrimePowerTable:
     """Primes p <= y with their maximal exponents nu_p (p^nu_p <= y).
@@ -90,10 +104,6 @@ class PrimePowerTable:
 def build_table(y: int) -> PrimePowerTable:
     """Sieve primes up to y and compute the maximal exponents nu_p.
 
-    Only the p <= sqrt(y) have nu_p > 1.  The primes with p^e <= y are a
-    prefix of them, whose powers grow one exponent a step in int64 (each
-    p^e <= y * sqrt(y)): at most log2(y) steps.
-
     Raises DomainError for y < 2 and ResourceError for y beyond the memory
     budget ``DEFAULT_Y_BUDGET`` (10^8).
     """
@@ -103,11 +113,8 @@ def build_table(y: int) -> PrimePowerTable:
         raise ResourceError(f"y={y} exceeds the configured budget {DEFAULT_Y_BUDGET}")
     p_arr = sieve_primes(y)
     nu_arr = np.ones(len(p_arr), dtype=np.int64)
-    pw = p_arr[:p_arr.searchsorted(math.isqrt(y), "right")]  # p^nu_p of the p that may grow
-    while len(pw):
-        pw = pw * p_arr[:len(pw)]
-        pw = pw[:pw.searchsorted(y, "right")]
-        nu_arr[:len(pw)] += 1
+    k = int(p_arr.searchsorted(math.isqrt(y), "right"))  # only p <= sqrt(y) have nu_p > 1
+    nu_arr[:k] = max_exponents(p_arr[:k], y)
     logp_arr = np.log(p_arr.astype(np.float64))
     psi_y = float(np.dot(nu_arr.astype(np.float64), logp_arr))
     for arr in (p_arr, nu_arr, logp_arr):

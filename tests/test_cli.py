@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from ultrafriable import (build_table, enumerate_characters, estimate_noncoprime
                           estimate_progression, modulus_context, t3_bound)
 from ultrafriable import cli
 from ultrafriable import primes as pr
-from ultrafriable.calibration import DATA_FILE, parse_constants
+from ultrafriable.calibration import DATA_FILE
 from ultrafriable.cli import COLUMNS, _fmt, build_parser, compute_row, main, parse_grid, parse_x
 
 
@@ -137,13 +138,6 @@ def test_sweep_multi_variant(capsys):
     assert variants == ["T1i", "T1ii"]
 
 
-def test_calibrate_fast(capsys):
-    code, out = run_cli(["calibrate", "--fast"], capsys)
-    assert code == 0
-    consts = parse_constants(out)
-    assert "t1_band_C" in consts and consts["t1_band_C"] > 0
-
-
 def test_calibrate_reproduces_frozen_constants(capsys):
     """The shipped constants are a fixed point of a full calibration run."""
     code, out = run_cli(["calibrate"], capsys)
@@ -212,8 +206,70 @@ def test_c1_reaches_the_character_sum_ceiling(capsys):
 
 
 def test_missing_args_exit_2(capsys):
-    code, _ = run_cli(["estimate", "--y", "100"], capsys)
-    assert code == 2
+    with pytest.raises(SystemExit) as ei:
+        run_cli(["estimate", "--y", "100"], capsys)
+    assert ei.value.code == 2
+    assert "--x" in capsys.readouterr().err
+
+
+def _grid(*names):
+    return {f"--{n}" for n in names} | {f"--{n}-grid" for n in names}
+
+
+_OUTPUT = {"--format", "--out", "--jobs"}
+_ESTIMATE = _grid("x", "y", "q", "a") | {"--variant", "--c1"} | _OUTPUT
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads():
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {name: {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+             for name, sp in subparsers.items()}
+    assert flags == {
+        "count": _grid("x", "y", "q", "a") | {"--variant"} | _OUTPUT,
+        "saddle": _grid("x", "y") | _OUTPUT,
+        "estimate": _ESTIMATE,
+        "compare": _ESTIMATE,
+        "sweep": _ESTIMATE,
+        "chars": {"--q", "--x", "--y", "--c1"} | _OUTPUT,
+        "calibrate": {"--out"},
+    }
+    assert sum(map(len, flags.values())) == 66
+
+
+@pytest.mark.parametrize("args", [
+    ["saddle", "--x", "1e6", "--y", "100", "--q", "6"],
+    ["saddle", "--x", "1e6", "--y", "100", "--a", "1"],
+    ["saddle", "--x", "1e6", "--y", "100", "--variant", "T1i"],
+    ["saddle", "--x", "1e6", "--y", "100", "--c1", "1"],
+    ["count", "--x", "2520", "--y", "10", "--c1", "1"],
+    ["chars", "--q", "5", "--x-grid", "e20:e30:3", "--y", "100"],
+    ["chars", "--q", "5", "--a", "1"],
+    ["chars", "--q", "5", "--variant", "T1i"],
+    ["chars", "--q", "5", "--x", "e20"],
+    ["chars", "--q", "5", "--y", "100"],
+    ["calibrate", "--fast"],
+    ["estimate", "--x", "e20", "--x-grid", "e20:e30:3", "--y", "100"],
+    ["count", "--x", "2520", "--y", "10", "--q", "1", "--q-grid", "1,6"],
+])
+def test_unread_or_conflicting_flag_is_a_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as ei:
+        main(args)
+    captured = capsys.readouterr()
+    assert ei.value.code == 2 and captured.out == ""
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("args", [
+    ["--x-grid", ",", "--y", "100"],
+    ["--x", "e20", "--y-grid", ""],
+    ["--x", "e20", "--y", "100", "--q-grid", " , "],
+])
+def test_empty_grid_is_a_usage_error(capsys, args):
+    code = main(["estimate"] + args)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "no points" in captured.err
 
 
 def test_friable_count_variant(capsys):

@@ -13,7 +13,7 @@ from ultrafriable import (
     modulus_context,
     tau_N,
 )
-from ultrafriable.primes import nth_prime, psi_q
+from ultrafriable.primes import max_exponents, nth_prime, psi_q, sieve_primes
 
 
 def brute_nu(p: int, y: int) -> int:
@@ -53,6 +53,13 @@ def test_nu_exact_power_boundaries():
         assert t.nu_of(p) == k
         t2 = build_table(y - 1)
         assert t2.nu_of(p) == k - 1
+
+
+@pytest.mark.parametrize("bound", [3**5 - 1, 3**5, 3**5 + 1, 3**10, 17**3, 31**3, 83**3, 10**9])
+def test_max_exponents_brute_force(bound):
+    # the float floor of log(bound) / log(p) sits on an integer at each prime power
+    p = sieve_primes(1000)
+    assert max_exponents(p, bound).tolist() == [brute_nu(int(v), bound) for v in p]
 
 
 def test_nu_invariant_random():
