@@ -61,6 +61,8 @@ from .estimators import (
     estimate_t2,
     estimate_progression,
     estimate_noncoprime,
+    estimate,
+    exact_count,
     t3_bound,
     compare,
 )
@@ -88,7 +90,8 @@ __all__ = [
     "reconstruct_progression",
     "ErrorBudget", "EstimateBreakdown", "ComparisonRecord", "T3Diagnostic",
     "error_budget", "estimate_upsilon", "estimate_upsilon_q", "estimate_t2",
-    "estimate_progression", "estimate_noncoprime", "t3_bound", "compare",
+    "estimate_progression", "estimate_noncoprime", "estimate", "exact_count", "t3_bound",
+    "compare",
     "UltrafriableError", "DomainError", "ResourceError", "PreconditionError",
     "RegimeError", "NonCoprimeError", "UnsupportedCaseError",
 ]

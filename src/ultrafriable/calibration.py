@@ -93,35 +93,31 @@ def calibrate_delta_remark() -> dict[str, float]:
     return {"delta_remark_lo": lo / _HEADROOM, "delta_remark_hi": hi * _HEADROOM}
 
 
+def _compared(variant: str, points):
+    """(estimate, comparison with the exact count) of a variant at each (x, table, ctx, a)."""
+    for x, table, ctx, a in points:
+        est = es.estimate(variant, x, table, ctx, a)
+        yield est, es.compare(es.exact_count(variant, x, table, ctx, a), est)
+
+
 def calibrate_t1() -> dict[str, float]:
     table = pr.build_table(100)
-    ratio_max = 0.0
-    q1_C = 0.0
-    for lx in np.linspace(20.0, 40.0, 10):
-        x = math.exp(lx)
-        for q in (1, 6, 30):
-            ctx = pr.modulus_context(q, table)
-            est = es.estimate_upsilon_q(x, table, ctx, "T1i")
-            exact = ct.count_ultrafriable(x, table, ctx)
-            rec = es.compare(exact, est)
-            ratio_max = max(ratio_max, rec.error_over_budget)
-            if q == 1:
-                # the q = 1 statement has budget 1/u: record C with |rel| <= C/u
-                q1_C = max(q1_C, abs(rec.rel_error) * est.budget.u)
+    ctxs = [pr.modulus_context(q, table) for q in (1, 6, 30)]
+    ratio_max = q1_C = 0.0
+    for est, rec in _compared("T1i", [(math.exp(lx), table, ctx, None)
+                                      for lx in np.linspace(20.0, 40.0, 10) for ctx in ctxs]):
+        ratio_max = max(ratio_max, rec.error_over_budget)
+        if est.budget.omega_q == 0:
+            # q = 1, whose statement has budget 1/u: record C with |rel| <= C/u
+            q1_C = max(q1_C, abs(rec.rel_error) * est.budget.u)
     return {"t1_band_C": ratio_max * _HEADROOM, "t1_q1_u_C": q1_C * _HEADROOM}
 
 
 def calibrate_t2() -> dict[str, float]:
-    ratio_max = 0.0
-    for y in (500, 1000, 2000):
-        table = pr.build_table(y)
-        for q in (1, 2, 6, 15):
-            ctx = pr.modulus_context(q, table)
-            est = es.estimate_t2(10**6, y, q)
-            exact = ct.count_ultrafriable(10**6, table, ctx)
-            rec = es.compare(exact, est)
-            ratio_max = max(ratio_max, rec.error_over_budget)
-    return {"t2_band_C": ratio_max * _HEADROOM}
+    tables = [pr.build_table(y) for y in (500, 1000, 2000)]
+    points = [(10**6, t, pr.modulus_context(q, t), None) for t in tables for q in (1, 2, 6, 15)]
+    worst = max(rec.error_over_budget for _, rec in _compared("T2", points))
+    return {"t2_band_C": worst * _HEADROOM}
 
 
 def _progression_devs(x: float, table: pr.PrimePowerTable, q: int) -> list[float]:
@@ -142,7 +138,7 @@ def calibrate_t4_t5() -> dict[str, float]:
     table5 = pr.build_table(1000)
     for q in (3, 11, 31):
         ctx = pr.modulus_context(q, table5)
-        est = es.estimate_progression(10**6, table5, ctx, 1, "T5")
+        est = es.estimate("T5", 10**6, table5, ctx, 1)
         dev = max(_progression_devs(10**6, table5, q))
         t5_ratio = max(t5_ratio, dev / est.budget.stated_bound)
     out["t5_band_C"] = t5_ratio * _HEADROOM
@@ -151,18 +147,19 @@ def calibrate_t4_t5() -> dict[str, float]:
 
 def calibrate_r6() -> dict[str, float]:
     table = pr.build_table(50)
-    x = math.exp(25)
-    worst = 0.0
-    for q, a in ((6, 2), (15, 5), (10, 4)):
-        est = es.estimate_noncoprime(x, table, q, a)
-        exact = ct.count_ultrafriable_residues(x, table, q)[a]
-        rec = es.compare(exact, est)
-        worst = max(worst, abs(rec.rel_error))
+    points = [(math.exp(25), table, pr.modulus_context(q, table), a)
+              for q, a in ((6, 2), (15, 5), (10, 4))]
+    worst = max(abs(rec.rel_error) for _, rec in _compared("R6", points))
     return {"r6_dev_band": worst * _HEADROOM}
 
 
 def calibrate_t3() -> dict[str, float]:
-    """Largest admissible c1 for the theta=1 ceiling, halved for headroom."""
+    """Largest admissible c1 for the theta=1 ceiling, halved for headroom.
+
+    No exact ratio on this grid reaches the floor 1/Y_eps(100) = 2.07e-4 (the
+    largest is 1.11e-4), so every c1 up to the cap 5.0 is admissible: t3_c1 is
+    the cap halved, and the ceiling holds by its 1/Y_eps term alone.
+    """
     table = pr.build_table(100)
     c1_cap = 5.0
     c1_min = c1_cap

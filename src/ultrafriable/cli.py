@@ -71,15 +71,15 @@ def parse_x(text: str) -> int | float:
     return v
 
 
-def parse_grid(text: str, parser=parse_x) -> list:
-    """A comma list, or lo:hi:n expanded log-spaced.
+def parse_grid(text: str) -> list:
+    """A comma list, or lo:hi:n expanded log-spaced, of parse_x points.
 
     The endpoints are the parsed lo and hi themselves, not exp(log(lo)),
     which can fall just below an integer endpoint and change its floor.
     """
     if ":" in text:
         lo_s, hi_s, n_s = text.split(":")
-        lo, hi, n = parser(lo_s), parser(hi_s), int(n_s)
+        lo, hi, n = parse_x(lo_s), parse_x(hi_s), int(n_s)
         if n < 1:
             raise ValueError("grid needs n >= 1")
         if n == 1:
@@ -87,7 +87,7 @@ def parse_grid(text: str, parser=parse_x) -> list:
         llo, lhi = math.log(lo), math.log(hi)
         inner = [math.exp(llo + i * (lhi - llo) / (n - 1)) for i in range(1, n - 1)]
         return [lo, *inner, hi]
-    points = [parser(p) for p in text.split(",") if p.strip()]
+    points = [parse_x(p) for p in text.split(",") if p.strip()]
     if not points:
         raise ValueError(f"grid {text!r} has no points")
     return points
@@ -115,21 +115,14 @@ def _blank_row(spec: dict) -> dict:
         row["x"] = _fmt(spec["x"])
         # no log for x <= 0: x = 0 counts 0 and x < 0 is a DomainError row
         row["log_x"] = math.log(spec["x"]) if spec["x"] > 0 else None
-    row["y"] = spec.get("y")
-    row["q"] = spec.get("q")
-    row["a"] = spec.get("a")
-    row["variant"] = spec.get("variant")
+    for col in ("y", "q", "a", "variant"):
+        row[col] = spec.get(col)
     return row
 
 
 def _fill_budget(row: dict, bud: es.ErrorBudget):
-    row["regime"] = bud.regime.kind
-    row["u"] = bud.u
-    row["eta"] = bud.eta
-    row["delta_q"] = bud.delta_q
-    row["d_q"] = bud.dd_q
-    row["c_q"] = bud.cc_q
-    row["budget"] = bud.stated_bound
+    row.update(regime=bud.regime.kind, u=bud.u, eta=bud.eta, omega_q=bud.omega_q,
+               delta_q=bud.delta_q, d_q=bud.dd_q, c_q=bud.cc_q, budget=bud.stated_bound)
 
 
 def compute_row(spec: dict) -> dict:
@@ -146,9 +139,8 @@ def compute_row(spec: dict) -> dict:
 
 def _dispatch(spec: dict, row: dict):
     mode = spec["mode"]
-    x, y, q, a = spec.get("x"), spec.get("y"), spec.get("q"), spec.get("a")
-    if q is None:
-        q = 1
+    x, y, a = spec.get("x"), spec.get("y"), spec.get("a")
+    q = 1 if spec.get("q") is None else spec["q"]
 
     if mode == "count":
         kind = spec.get("variant") or "ultrafriable"
@@ -156,18 +148,14 @@ def _dispatch(spec: dict, row: dict):
         if kind not in ("ultrafriable", "friable"):
             raise DomainError(f"unknown count variant {kind!r}; use ultrafriable or friable")
         if kind == "friable":
-            if a is not None:
-                n = ct.count_friable_progression(x, y, a, q)
-            else:
-                n = ct.count_friable(x, y, q)
+            n = ct.count_friable(x, y, q) if a is None else ct.count_friable_progression(x, y, a, q)
         else:
             table = pr.build_table(y)
             row["regime"] = pr.classify_regime(max(x, 2.0), table).kind
-            if a is not None:
-                n = ct.count_ultrafriable_residues(x, table, q)[a]
+            if a is None:
+                n = ct.count_ultrafriable(x, table, pr.modulus_context(q, table))
             else:
-                ctx = pr.modulus_context(q, table)
-                n = ct.count_ultrafriable(x, table, ctx)
+                n = ct.count_ultrafriable_residues(x, table, q)[a]
         row["exact_value_or_log"] = _fmt_count(n)
         return
 
@@ -215,17 +203,14 @@ def _dispatch(spec: dict, row: dict):
     if mode in ("estimate", "compare"):
         variant = spec.get("variant") or "T1i"
         row["variant"] = variant
-        est, exact = _estimate_and_exact(variant, x, table, ctx, a, spec, mode)
-        row["est_log_main"] = est.log_main
-        row["beta"] = est.beta
-        row["sigma2"] = est.sigma2
-        _fill_budget(row, est.budget)
-        row["omega_q"] = ctx.omega_q
-        if mode == "compare":
+        est = es.estimate(variant, x, table, ctx, a, spec.get("c1", es.DEFAULT_C1))
+        if mode == "compare":  # the count first: a refused count leaves the row empty
+            exact = es.exact_count(variant, x, table, ctx, a)
             rec = es.compare(exact, est)
-            row["exact_value_or_log"] = _fmt_count(exact)
-            row["rel_error"] = rec.rel_error
-            row["error_over_budget"] = rec.error_over_budget
+            row.update(exact_value_or_log=_fmt_count(exact), rel_error=rec.rel_error,
+                       error_over_budget=rec.error_over_budget)
+        row.update(est_log_main=est.log_main, beta=est.beta, sigma2=est.sigma2)
+        _fill_budget(row, est.budget)
         return
 
     raise ValueError(f"unknown mode {mode!r}")
@@ -235,33 +220,6 @@ def _dispatch(spec: dict, row: dict):
 def _chars_context(q: int, y: int) -> pr.ModulusContext:
     """The modulus context that the phi(q) rows of one chars run share."""
     return pr.modulus_context(q, pr.build_table(y))
-
-
-def _estimate_and_exact(variant, x, table, ctx, a, spec, mode):
-    c1 = spec.get("c1", es.DEFAULT_C1)
-    need_exact = mode == "compare"
-    if variant == "UPS":
-        est = es.estimate_upsilon(x, table)
-        exact = ct.count_ultrafriable(x, table, pr.modulus_context(1, table)) if need_exact else 0
-    elif variant in es.VARIANTS_UPSILON_Q:
-        est = es.estimate_upsilon_q(x, table, ctx, variant)
-        exact = ct.count_ultrafriable(x, table, ctx) if need_exact else 0
-    elif variant == "T2":
-        est = es.estimate_t2(x, table.y, ctx.q)
-        exact = ct.count_ultrafriable(x, table, ctx) if need_exact else 0
-    elif variant in es.VARIANTS_PROGRESSION:
-        if a is None:
-            raise DomainError("T4/T5 need a residue class --a")
-        est = es.estimate_progression(x, table, ctx, a, variant, c1)
-        exact = ct.count_ultrafriable_residues(x, table, ctx.q)[a] if need_exact else 0
-    elif variant == "R6":
-        if a is None:
-            raise DomainError("R6 needs a residue class --a")
-        est = es.estimate_noncoprime(x, table, ctx.q, a, c1)
-        exact = ct.count_ultrafriable_residues(x, table, ctx.q)[a] if need_exact else 0
-    else:
-        raise DomainError(f"unknown variant {variant!r}")
-    return est, exact
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +292,7 @@ _FLAGS = {
     "y": {"type": int},
     "q": {"type": int},
     "a": {"type": int},
-    "variant": {"help": "T1i|T1ii|T1iii|REMC|T2|T4|T5|R6|UPS, or count kind; comma list"},
+    "variant": {"help": "|".join(es.VARIANTS) + ", or count kind; comma list"},
     "c1": {"type": float, "default": es.DEFAULT_C1, "help": "c1 of the T4, R6 and chars budgets"},
     "format": {"choices": ("csv", "json"), "default": "csv"},
     "out": {},
@@ -366,11 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _axis_values(opts: dict, axis: str) -> list:
-    """The points of one axis: its grid if given, else its point (None if unread)."""
+    """The points of one axis: its grid if given, else its point (None if unread).
+
+    On the integer axes y, q and a every listed point and both endpoints must
+    be integer literals; the inner points of lo:hi:n are floored.
+    """
     grid = opts.get(f"{axis}_grid")
     if grid is None:
         return [opts.get(axis)]
-    return parse_grid(grid) if axis == "x" else [int(v) for v in parse_grid(grid, parser=float)]
+    points = parse_grid(grid)
+    if axis == "x":
+        return points
+    if not all(isinstance(v, int) for v in ((points[0], points[-1]) if ":" in grid else points)):
+        raise ValueError(f"--{axis}-grid {grid} takes integer literals")
+    return [int(v) for v in points]
 
 
 def _expand_grids(args) -> list[dict]:
@@ -426,10 +393,7 @@ def main(argv=None) -> int:
     elapsed = time.perf_counter() - t0
     config = {k: v for k, v in vars(args).items() if k not in ("command",) and v is not None}
     config["command"] = args.command
-    if args.format == "json":
-        text = rows_to_json(rows, config, elapsed)
-    else:
-        text = rows_to_csv(rows)
+    text = rows_to_json(rows, config, elapsed) if args.format == "json" else rows_to_csv(rows)
     return _emit(text, args.out)
 
 

@@ -30,6 +30,8 @@ T1III_ETA_SQRT_U = 0.2
 
 VARIANTS_UPSILON_Q = ("T1i", "T1ii", "T1iii", "REMC")
 VARIANTS_PROGRESSION = ("T4", "T5")
+# every theorem variant that ``estimate`` and ``exact_count`` pair up
+VARIANTS = (*VARIANTS_UPSILON_Q, "T2", *VARIANTS_PROGRESSION, "R6", "UPS")
 
 
 def Y_eps(y: float) -> float:
@@ -52,6 +54,7 @@ class ErrorBudget:
 
     u: float
     eta: float
+    omega_q: int
     theta_q: float
     delta_q: float
     delta_q_alt: float  # the non-selected branch, for inspection
@@ -104,6 +107,7 @@ def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext) ->
     return ErrorBudget(
         u=u,
         eta=eta,
+        omega_q=omega,
         theta_q=theta,
         delta_q=delta,
         delta_q_alt=alt,
@@ -372,6 +376,40 @@ def estimate_noncoprime(x: float, table: pr.PrimePowerTable, q: int, a: int,
         sigma2=res.sigma_j[2],
         flags={"d": True},
     )
+
+
+# ---------------------------------------------------------------------------
+# each theorem variant paired with the count it estimates
+# ---------------------------------------------------------------------------
+
+def _residue_class(variant: str, a: int | None) -> int:
+    if a is None:
+        raise DomainError(f"{variant} needs a residue class a")
+    return a
+
+
+def estimate(variant: str, x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
+             a: int | None = None, c1: float = DEFAULT_C1) -> EstimateBreakdown:
+    """The estimate of a variant at (x, y, q): of the class a mod q for T4, T5 and R6,
+    and for UPS the T1i one at q = 1 whatever ctx is, so its budget reads omega_q = 0."""
+    if variant == "UPS":
+        return estimate_upsilon(x, table)
+    if variant == "T2":
+        return estimate_t2(x, table.y, ctx.q)
+    if variant == "R6":
+        return estimate_noncoprime(x, table, ctx.q, _residue_class(variant, a), c1)
+    if variant in VARIANTS_PROGRESSION:
+        return estimate_progression(x, table, ctx, _residue_class(variant, a), variant, c1)
+    return estimate_upsilon_q(x, table, ctx, variant)  # a DomainError for an unknown variant
+
+
+def exact_count(variant: str, x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
+                a: int | None = None) -> int:
+    """The count a variant estimates: the class a mod q for T4, T5 and R6,
+    Upsilon(x, y) (q = 1) for UPS, and Upsilon_q(x, y) for the rest."""
+    if variant in (*VARIANTS_PROGRESSION, "R6"):
+        return ct.count_ultrafriable_residues(x, table, ctx.q)[_residue_class(variant, a)]
+    return ct.count_ultrafriable(x, table, pr.modulus_context(1, table) if variant == "UPS" else ctx)
 
 
 # ---------------------------------------------------------------------------

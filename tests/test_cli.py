@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from ultrafriable import (build_table, enumerate_characters, estimate_noncoprime,
-                          estimate_progression, modulus_context, t3_bound)
+from ultrafriable import (build_table, compare, enumerate_characters, estimate_noncoprime,
+                          estimate_progression, estimate_t2, estimate_upsilon, estimate_upsilon_q,
+                          exact_count, modulus_context, naive_oracle, t3_bound)
 from ultrafriable import cli
 from ultrafriable import primes as pr
 from ultrafriable.calibration import DATA_FILE
 from ultrafriable.cli import COLUMNS, _fmt, build_parser, compute_row, main, parse_grid, parse_x
+from ultrafriable.estimators import VARIANTS
 
 
 def run_cli(args, capsys):
@@ -327,7 +329,7 @@ def test_parse_grid_keeps_integer_endpoints():
     pts = parse_grid("1000:1000000:4")
     assert pts[0] == 1000 and pts[-1] == 1000000
     assert pts[1] == pytest.approx(10**4) and pts[2] == pytest.approx(10**5)
-    assert parse_grid("7:343:3", parser=float) == [7.0, pytest.approx(49.0), 343.0]
+    assert parse_grid("7:343:3") == [7, pytest.approx(49.0), 343]
     assert parse_grid("10000000000000000001:10000000000000000003:2") == [10**19 + 1, 10**19 + 3]
 
 
@@ -432,3 +434,91 @@ def test_exact_count_past_the_split_budget_is_a_status_row(spec):
     row = compute_row(spec)
     assert time.perf_counter() - start < 1
     assert row["status"].startswith("ResourceError"), row["status"]
+
+
+def test_integer_axis_grid_points_stay_exact(capsys):
+    # 2^53 + 1 is no float: a grid point keeps the class that --a counts
+    args = ["count", "--x", "1000", "--y", "100", "--q", "2", "--jobs", "1"]
+    _, grid = run_cli(args + ["--a-grid", "9007199254740993"], capsys)
+    _, point = run_cli(args + ["--a", "9007199254740993"], capsys)
+    assert grid == point
+    row = dict(zip(COLUMNS, grid.strip().splitlines()[1].split(",")))
+    assert row["a"] == "9007199254740993"
+    assert row["exact_value_or_log"] == str(naive_oracle(1000, 100, a=1, q=2)) == "261"
+    # the inner points of lo:hi:n keep their floor
+    assert cli._axis_values({"y_grid": "50:3000:4"}, "y") == [50, 195, 766, 3000]
+
+
+@pytest.mark.parametrize("grid", [
+    ["--y-grid", "100.9"],
+    ["--y-grid", "1e3"],
+    ["--y-grid", "e4:1000:3"],
+    ["--y-grid", "50:3e3:3"],
+    ["--y", "100", "--q-grid", "6.5"],
+    ["--y", "100", "--q", "7", "--a-grid", "1,2.5"],
+])
+def test_integer_axis_grid_point_that_is_no_integer_is_a_usage_error(capsys, grid):
+    code = main(["count", "--x", "1000"] + grid)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "takes integer literals" in captured.err
+
+
+@pytest.mark.parametrize("q", [6, 210])
+def test_ups_row_is_the_q1_row(q):
+    # UPS is T1i at q = 1: its budget cells are those of q = 1 whatever the row's q
+    spec = {"mode": "compare", "x": math.exp(30), "y": 100, "variant": "UPS"}
+    row, ref = compute_row({**spec, "q": q}), compute_row({**spec, "q": 1})
+    assert row["status"] == "ok"
+    assert row["omega_q"] == row["d_q"] == row["c_q"] == 0
+    assert {k: v for k, v in row.items() if k != "q"} == {k: v for k, v in ref.items() if k != "q"}
+
+
+# one point per variant, in its domain, with the estimator each variant names
+VARIANT_ROWS = [
+    ("T1i", "e30", 100, 6, None, lambda x, t, c: estimate_upsilon_q(x, t, c, "T1i")),
+    ("T1ii", "e40", 100, 6, None, lambda x, t, c: estimate_upsilon_q(x, t, c, "T1ii")),
+    ("T1iii", "e46", 100, 6, None, lambda x, t, c: estimate_upsilon_q(x, t, c, "T1iii")),
+    ("REMC", "1e6", 1000, 6, None, lambda x, t, c: estimate_upsilon_q(x, t, c, "REMC")),
+    ("T2", "1e6", 1000, 6, None, lambda x, t, c: estimate_t2(x, t.y, c.q)),
+    ("T4", "e30", 100, 7, 3, lambda x, t, c: estimate_progression(x, t, c, 3, "T4")),
+    ("T5", "1e6", 1000, 7, 3, lambda x, t, c: estimate_progression(x, t, c, 3, "T5")),
+    ("R6", "e25", 50, 6, 2, lambda x, t, c: estimate_noncoprime(x, t, 6, 2)),
+    ("UPS", "e30", 100, 6, None, lambda x, t, c: estimate_upsilon(x, t)),
+]
+
+
+def test_variant_rows_cover_every_variant():
+    assert tuple(r[0] for r in VARIANT_ROWS) == VARIANTS
+
+
+@pytest.mark.parametrize("variant, x, y, q, a, direct", VARIANT_ROWS)
+def test_compare_row_is_the_estimator_beside_its_count(variant, x, y, q, a, direct):
+    x = parse_x(x)
+    table = build_table(y)
+    ctx = modulus_context(q, table)
+    est = direct(x, table, ctx)
+    exact = exact_count(variant, x, table, ctx, a)
+    rec = compare(exact, est)
+    bud = est.budget
+    row = compute_row({"mode": "compare", "x": x, "y": y, "q": q, "a": a, "variant": variant})
+    assert row["status"] == "ok"
+    assert row["exact_value_or_log"] == str(exact)
+    assert (row["est_log_main"], row["beta"], row["sigma2"]) == (est.log_main, est.beta, est.sigma2)
+    assert (row["rel_error"], row["error_over_budget"]) == (rec.rel_error, rec.error_over_budget)
+    assert (row["regime"], row["u"], row["eta"], row["omega_q"]) == (
+        bud.regime.kind, bud.u, bud.eta, bud.omega_q)
+    assert (row["delta_q"], row["d_q"], row["c_q"], row["budget"]) == (
+        bud.delta_q, bud.dd_q, bud.cc_q, bud.stated_bound)
+
+
+@pytest.mark.parametrize("kind", ["ultrafriable", "friable"])
+def test_count_rows_per_class_match_the_oracle(capsys, kind):
+    code, out = run_cli(["count", "--x", "5000", "--y", "30", "--q", "12", "--a-grid", "0,1,5,6,11",
+                         "--variant", kind, "--jobs", "1"], capsys)
+    assert code == 0
+    rows = [dict(zip(COLUMNS, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert [r["a"] for r in rows] == ["0", "1", "5", "6", "11"]
+    for r in rows:
+        assert r["status"] == "ok"
+        assert r["exact_value_or_log"] == str(naive_oracle(5000, 30, a=int(r["a"]), q=12, mode=kind))

@@ -15,16 +15,19 @@ from ultrafriable import (
     count_ultrafriable,
     enumerate_characters,
     error_budget,
+    estimate,
     estimate_noncoprime,
     estimate_progression,
     estimate_t2,
     estimate_upsilon,
     estimate_upsilon_q,
+    exact_count,
     modulus_context,
+    naive_oracle,
     t3_bound,
 )
 from ultrafriable.calibration import load_constants
-from ultrafriable.estimators import L_eps, Y_eps
+from ultrafriable.estimators import VARIANTS, L_eps, Y_eps
 
 CONSTS = load_constants()
 
@@ -274,6 +277,39 @@ def test_noncoprime_value(table50):
     exact = count_ultrafriable_residues(x, table50, 6)[2]
     rec = compare(exact, est)
     assert abs(rec.rel_error) <= CONSTS["r6_dev_band"]
+
+
+# ---------------------------------------------------------------------------
+# each variant paired with its count
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_exact_count_is_the_count_each_variant_estimates(variant):
+    table = build_table(30)
+    ctx = modulus_context(6, table)
+    a = {"T4": 5, "T5": 5, "R6": 2}.get(variant)
+    expected = naive_oracle(10**4, 30, a=a, q=1 if variant == "UPS" else 6)
+    assert exact_count(variant, 10**4, table, ctx, a) == expected
+
+
+@pytest.mark.parametrize("variant", ["T4", "T5", "R6"])
+def test_class_variant_without_a_class_is_a_domain_error(table100, variant):
+    ctx = modulus_context(6, table100)
+    for fn in (estimate, exact_count):
+        with pytest.raises(DomainError, match="residue class"):
+            fn(variant, math.exp(30), table100, ctx)
+
+
+def test_unknown_variant_is_a_domain_error(table100):
+    with pytest.raises(DomainError, match="unknown variant"):
+        estimate("T9", math.exp(30), table100, modulus_context(6, table100))
+
+
+def test_ups_estimate_is_t1i_at_q1(table100):
+    x = math.exp(30)
+    ups = estimate("UPS", x, table100, modulus_context(210, table100))
+    assert ups == estimate_upsilon_q(x, table100, modulus_context(1, table100), "T1i")
+    assert ups.budget.omega_q == 0 and ups.budget.dd_q == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,38 @@ def test_alpha_newton_steps():
             assert res.residual <= 1e-13 * max(1.0, lx) / lx, (y, lx)
 
 
+def _exp_minus(s):
+    return math.exp(-s), -math.exp(-s)
+
+
+def test_newton_bisects_a_step_that_leaves_the_bracket():
+    # exp(-s) = 1/2 from s = 10: the first step lands near s = -1.1e4, outside (0, 10)
+    s, f, fp, steps = sd._newton(_exp_minus, 0.5, 10.0, 1e-16)
+    assert abs(s - math.log(2.0)) <= 2 * math.ulp(math.log(2.0))
+    assert steps < sd._MAX_STEPS
+
+
+@pytest.mark.parametrize("bad_slope", [math.nan, -1e-320])
+def test_newton_doubles_past_a_non_finite_step(bad_slope):
+    # 1/s = 1/100 from s = 1, with a slope that makes the step NaN or infinite
+    # below s = 30: while hi is infinite the step is replaced by doubling s
+    def fdf(s):
+        return 1.0 / s, (-1.0 / (s * s) if s > 30.0 else bad_slope)
+
+    s, f, fp, steps = sd._newton(fdf, 0.01, 1.0, 1e-18)
+    assert abs(s - 100.0) <= 2 * math.ulp(100.0)
+    assert steps < sd._MAX_STEPS
+
+
+def test_newton_stops_on_a_one_double_bracket():
+    # with tol = 0 and no double s where exp(-s) is exactly 1/10, only the
+    # bracket shrinking to one double ends the loop before the step cap
+    s, f, fp, steps = sd._newton(_exp_minus, 0.1, 10.0, 0.0)
+    assert f != 0.1
+    assert abs(s - math.log(10.0)) <= 2 * math.ulp(math.log(10.0))
+    assert steps < sd._MAX_STEPS
+
+
 def test_alpha_at_x_equal_y():
     # direct evaluation of the defining sum at alpha = 1 places alpha(y, y)
     # relative to 1: above for y in {3, 5, 7}, below from y = 11 on
