@@ -60,8 +60,8 @@ class ErrorBudget:
     delta_q_alt: float  # the non-selected branch, for inspection
     dd_q: float  # min(omega(q), delta_q)
     cc_q: float  # min(omega(q), delta_q^2)
-    stated_bound: float
     regime: pr.RegimeTag
+    stated_bound: float = math.nan  # a theorem variant's, stated by _budget
 
 
 def _delta_branch_small(lx: float, ly: float, theta: float, eta: float) -> float:
@@ -83,8 +83,8 @@ def _delta_branch_large(u: float, theta: float) -> float:
 def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext) -> ErrorBudget:
     """Delta_q, D_q, C_q and friends for (x, y, q).
 
-    The stated bound is left at nan; each estimator attaches its own with
-    dataclasses.replace.
+    The stated bound is left at nan: estimators do not attach their own, as
+    ``_budget`` checks each theorem variant's domain and states its bound.
 
     Branch rule: the two Delta_q expressions overlap around y = (log x)^2;
     the first (small-y) branch is selected iff psi(y) <= (log x)^2 and the
@@ -113,7 +113,6 @@ def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext) ->
         delta_q_alt=alt,
         dd_q=min(float(omega), delta) if delta == delta else float(omega),
         cc_q=min(float(omega), delta * delta) if delta == delta else float(omega),
-        stated_bound=math.nan,
         regime=regime,
     )
 
@@ -174,18 +173,54 @@ def compare(exact: int, est: EstimateBreakdown) -> ComparisonRecord:
 
 
 # ---------------------------------------------------------------------------
-# Upsilon estimates (small-y saddle main terms)
+# each theorem variant's domain and stated budget
 # ---------------------------------------------------------------------------
 
-def _require_small_y(regime: pr.RegimeTag, what: str):
-    if not regime.small_y:
-        raise RegimeError(f"{what} needs the saddle domain psi(y) > 2 log x")
+def _budget(variant: str, x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
+            c1: float = DEFAULT_C1) -> ErrorBudget:
+    """The error budget of a variant at (x, y, q) with its stated bound, once x
+    is in the variant's domain: P+(q) <= y, the large-y regime for REMC, T2 and
+    T5 and the saddle domain for the rest, and the eta conditions of T1ii and
+    T1iii.  R6 passes the reduced problem's x/d, so its cells are those of (x/d, y).
+    """
+    ctx.require_p_plus_le_y()
+    bud = error_budget(x, table, ctx)
+    u, eta, omega = bud.u, bud.eta, bud.omega_q
+    ly = math.log(table.y)
+    if variant in ("REMC", "T2", "T5"):
+        if not bud.regime.large_y:
+            raise RegimeError(f"{variant} needs y >= (log x)^(2+eps)")
+    elif not bud.regime.small_y:
+        raise RegimeError(f"{variant} needs the saddle domain psi(y) > 2 log x")
+    if variant == "T1ii" and eta > 0.5:
+        raise DomainError(f"T1ii needs eta <= 1/2, got eta={eta:.4g}")
+    if variant == "T1iii" and eta * math.sqrt(u) >= T1III_ETA_SQRT_U:
+        raise DomainError(
+            f"T1iii needs eta*sqrt(u) < {T1III_ETA_SQRT_U}, got {eta * math.sqrt(u):.4g}"
+        )
+
+    if variant == "T1i":
+        dq = bud.dd_q
+        stated = (1.0 + dq * dq) / u + dq * (1.0 + eta) / (math.sqrt(u) + eta * u)
+    elif variant == "T1ii":
+        stated = omega * (1.0 + eta) / (math.sqrt(u) + eta * u) + (1.0 + omega * omega) / u
+    elif variant == "T1iii":
+        stated = eta * omega + math.log(ctx.q) / (math.sqrt(u) * ly) + omega * omega / u
+    elif variant in ("T4", "R6"):
+        lu = math.log(max(u, 1.0 + 1e-12))
+        stated = math.exp(-c1 * u / lu**4) + 1.0 / Y_eps(table.y)
+    elif variant == "T5":
+        stated = math.log(ctx.q) / (u**C2 * ly) + 1.0 / ly
+    else:  # T2, the ultrafriable/friable gap, and REMC, the gap beside the saddle's 1/u
+        stated = ctx.q * u * math.log(2.0 * u) / (ctx.phi_q * math.sqrt(table.y) * ly)
+        if variant == "REMC":
+            stated += 1.0 / u
+    return replace(bud, stated_bound=stated)
 
 
-def _require_large_y(regime: pr.RegimeTag, what: str):
-    if not regime.large_y:
-        raise RegimeError(f"{what} needs y >= (log x)^(2+eps)")
-
+# ---------------------------------------------------------------------------
+# Upsilon estimates (small-y saddle main terms)
+# ---------------------------------------------------------------------------
 
 def estimate_upsilon(x: float, table: pr.PrimePowerTable) -> EstimateBreakdown:
     """Saddle main term for the global count, x^beta Z(beta, y) G(beta sqrt(sigma2)):
@@ -210,23 +245,10 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
     """
     if variant not in VARIANTS_UPSILON_Q:
         raise DomainError(f"unknown variant {variant!r}")
-    ctx.require_p_plus_le_y()
-    bud = error_budget(x, table, ctx)
+    bud = _budget(variant, x, table, ctx)
     lx = math.log(x)
     ly = math.log(table.y)
-    u, eta = bud.u, bud.eta
     omega = ctx.omega_q
-
-    if variant == "REMC":
-        _require_large_y(bud.regime, "REMC")
-    else:
-        _require_small_y(bud.regime, variant)
-    if variant == "T1ii" and eta > 0.5:
-        raise DomainError(f"T1ii needs eta <= 1/2, got eta={eta:.4g}")
-    if variant == "T1iii" and eta * math.sqrt(u) >= T1III_ETA_SQRT_U:
-        raise DomainError(
-            f"T1iii needs eta*sqrt(u) < {T1III_ETA_SQRT_U}, got {eta * math.sqrt(u):.4g}"
-        )
 
     res = sd.beta_cached(lx, table.y)
     beta, s2 = res.sigma, res.sigma_j[2]
@@ -234,17 +256,7 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
     log_g = math.log(sd.gaussian_G(beta * math.sqrt(s2)))
     gq = sd.arithmetic_factors(beta, ctx, table).g_q
 
-    dq = bud.dd_q
-    if variant == "T1i":
-        stated = (1.0 + dq * dq) / u + dq * (1.0 + eta) / (math.sqrt(u) + eta * u)
-    elif variant == "T1ii":
-        stated = omega * (1.0 + eta) / (math.sqrt(u) + eta * u) + (1.0 + omega * omega) / u
-    elif variant == "T1iii":
-        stated = eta * omega + math.log(ctx.q) / (math.sqrt(u) * ly) + omega * omega / u
-    else:  # REMC
-        stated = (ctx.q * u * math.log(2.0 * u)) / (ctx.phi_q * math.sqrt(table.y) * ly) + 1.0 / u
-
-    correction = math.log1p(omega / math.sqrt(math.pi * u)) if variant == "T1iii" else 0.0
+    correction = math.log1p(omega / math.sqrt(math.pi * bud.u)) if variant == "T1iii" else 0.0
     factors = {
         "x_pow_beta": beta * lx,
         "Z_q_beta": log_zq,
@@ -258,7 +270,7 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
         theorem_tag=variant,
         log_main=beta * lx + log_zq + log_g + correction,
         factors=factors,
-        budget=replace(bud, stated_bound=stated),
+        budget=bud,
         beta=beta,
         sigma2=s2,
         flags=flags,
@@ -273,17 +285,13 @@ def estimate_t2(x: float, y: int, q: int) -> EstimateBreakdown:
     """
     table = pr.build_table(y)
     ctx = pr.modulus_context(q, table)
-    ctx.require_p_plus_le_y()
-    bud = error_budget(x, table, ctx)
-    _require_large_y(bud.regime, "T2")
-    u = bud.u
+    bud = _budget("T2", x, table, ctx)
     psi_q_exact = ct.count_friable(x, y, q)
-    stated = q * u * math.log(2.0 * u) / (ctx.phi_q * math.sqrt(y) * math.log(y))
     return EstimateBreakdown(
         theorem_tag="T2",
         log_main=math.log(psi_q_exact),
         factors={"psi_q_exact": float(psi_q_exact)},
-        budget=replace(bud, stated_bound=stated),
+        budget=bud,
         flags={"omega_small_vs_sqrt_y": ctx.omega_q <= math.sqrt(y)},
     )
 
@@ -303,29 +311,19 @@ def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCon
         raise NonCoprimeError(
             f"(a, q) = {math.gcd(a, ctx.q)} > 1: use estimate_noncoprime for this class"
         )
-    ctx.require_p_plus_le_y()
-    bud = error_budget(x, table, ctx)
-    regime, u = bud.regime, bud.u
+    bud = _budget(variant, x, table, ctx, c1)
     y = table.y
-    if variant == "T4":
-        _require_small_y(regime, "T4")
-        lu = math.log(max(u, 1.0 + 1e-12))
-        stated = math.exp(-c1 * u / lu**4) + 1.0 / Y_eps(y)
-        q_ok = ctx.q <= y ** (C0 / math.log(math.log(y)))
-    else:
-        _require_large_y(regime, "T5")
-        stated = math.log(ctx.q) / (u**C2 * math.log(y)) + 1.0 / math.log(y)
-        q_ok = ctx.q <= math.sqrt(y)
+    q_ok = ctx.q <= (y ** (C0 / math.log(math.log(y))) if variant == "T4" else math.sqrt(y))
     upsilon_q = ct.count_ultrafriable(x, table, ctx)
     beta = s2 = None
-    if regime.small_y:
+    if bud.regime.small_y:
         res = sd.beta_cached(math.log(x), y)
         beta, s2 = res.sigma, res.sigma_j[2]
     return EstimateBreakdown(
         theorem_tag=variant,
         log_main=math.log(upsilon_q) - math.log(ctx.phi_q),
         factors={"upsilon_q_exact": float(upsilon_q), "phi_q": float(ctx.phi_q)},
-        budget=replace(bud, stated_bound=stated),
+        budget=bud,
         beta=beta,
         sigma2=s2,
         flags={"q_in_theorem_range": bool(q_ok)},
@@ -353,20 +351,14 @@ def estimate_noncoprime(x: float, table: pr.PrimePowerTable, q: int, a: int,
     if any(p > table.y for p in dfac) or d > x:
         raise UnsupportedCaseError(f"d={d} is not a y-ultrafriable integer <= x")
     # an integer x is divided exactly: x / d overflows a float past 1.8e308
-    regime = pr.classify_regime(x // d if isinstance(x, int) else x / d, table)
-    _require_small_y(regime, "the non-coprime estimate")
+    bud = _budget("R6", x // d if isinstance(x, int) else x / d, table,
+                  pr.modulus_context(q, table), c1)
     res = sd.beta_cached(math.log(x) - math.log(d), table.y)
     beta = res.sigma
     ctx_d = pr.modulus_context(d, table)
     h_d = sd.arithmetic_factors(beta, ctx_d, table, d=d).h_d
-    qd = q // d
-    ctx_qd = pr.modulus_context(qd, table)
-    ctx_qd.require_p_plus_le_y()
+    ctx_qd = pr.modulus_context(q // d, table)
     ups = ct.count_ultrafriable(ct._floor_bound(x) // d, table, ctx_qd)
-    u = regime.u
-    lu = math.log(max(u, 1.0 + 1e-12))
-    stated = math.exp(-c1 * u / lu**4) + 1.0 / Y_eps(table.y)
-    bud = replace(error_budget(x, table, pr.modulus_context(q, table)), stated_bound=stated)
     return EstimateBreakdown(
         theorem_tag="R6",
         log_main=math.log(h_d) + math.log(ups) - math.log(ctx_qd.phi_q),
@@ -444,7 +436,8 @@ def t3_bound(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext, chi,
     if chi.modulus != ctx.q:
         raise DomainError(f"the character is mod {chi.modulus}, the context mod {ctx.q}")
     regime = pr.classify_regime(x, table)
-    _require_small_y(regime, "the character-sum bound")
+    if not regime.small_y:
+        raise RegimeError("the character-sum bound needs the saddle domain psi(y) > 2 log x")
     u = regime.u
     lu4 = math.log(max(u, 1.0 + 1e-12)) ** 4
     inv_y = 1.0 / Y_eps(table.y)

@@ -123,7 +123,13 @@ def build_table(y: int) -> PrimePowerTable:
 
 
 def factorize(q: int) -> dict[int, int]:
-    """Prime factorisation of q >= 1 by trial division."""
+    """Prime factorisation of q >= 1 by trial division up to 10^6.
+
+    Every q <= 10^12 is factored in full.  A cofactor with no prime factor
+    up to 10^6 is prime below (10^6 + 1)^2; a larger one raises
+    ResourceError, as trial division past it takes seconds to hours
+    (q = 2^61 - 1).
+    """
     if q < 1:
         raise DomainError(f"need q >= 1, got {q}")
     out: dict[int, int] = {}
@@ -134,6 +140,9 @@ def factorize(q: int) -> dict[int, int]:
             n //= p
     f = 5
     while f * f <= n:
+        if f > 10**6:
+            raise ResourceError(f"q={q} has a cofactor {n} >= (10^6 + 1)^2 with no prime "
+                                "factor <= 10^6; factoring it is beyond trial division")
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1

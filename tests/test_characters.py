@@ -22,8 +22,9 @@ from ultrafriable import (
     solve_beta,
     w_q,
 )
-from ultrafriable.characters import character_group, character_sums_from_residues
-from ultrafriable.counting import ResidueCounts
+from ultrafriable.characters import _generators, character_group, character_sums_from_residues
+from ultrafriable.counting import RESIDUE_Q_BOUND, ResidueCounts
+from ultrafriable.primes import factorize, sieve_primes
 
 
 def euler_phi(q):
@@ -377,3 +378,26 @@ def test_real_character_sum_has_zero_imaginary_part():
     chi = [c for c in enumerate_characters(3) if not c.is_principal][0]
     assert chi.is_real
     assert chi.group.character_sum(rc, chi).imag == 0.0
+
+
+def _has_full_order(g: int, order: int, m: int) -> bool:
+    return pow(g, order, m) == 1 and all(pow(g, order // f, m) != 1 for f in factorize(order))
+
+
+def test_primitive_root_lift_past_a_wieferich_base():
+    # 5, the least primitive root mod 40487, has 5^(p-1) = 1 mod p^2, so it does
+    # not generate mod p^2 and is lifted to 5 + p; 40487^2 is past every residue modulus
+    p = 40487
+    assert p * p > RESIDUE_Q_BOUND and pow(5, p - 1, p * p) == 1
+    assert _generators(p, 2) == [(40492, p * (p - 1))]
+    assert _has_full_order(40492, p * (p - 1), p * p)
+
+
+def test_odd_prime_power_generators_have_full_order():
+    for p in sieve_primes(math.isqrt(RESIDUE_Q_BOUND)).tolist()[1:]:
+        e = 2
+        while p**e <= RESIDUE_Q_BOUND:
+            [(g, order)] = _generators(p, e)
+            assert order == p**e - p ** (e - 1)
+            assert _has_full_order(g, order, p**e), (p, e, g)
+            e += 1

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import os
@@ -11,12 +12,12 @@ import pytest
 
 from ultrafriable import (build_table, compare, enumerate_characters, estimate_noncoprime,
                           estimate_progression, estimate_t2, estimate_upsilon, estimate_upsilon_q,
-                          exact_count, modulus_context, naive_oracle, t3_bound)
+                          exact_count, modulus_context, naive_oracle, t3_bound, tau_N)
 from ultrafriable import cli
 from ultrafriable import primes as pr
 from ultrafriable.calibration import DATA_FILE
 from ultrafriable.cli import COLUMNS, _fmt, build_parser, compute_row, main, parse_grid, parse_x
-from ultrafriable.estimators import VARIANTS
+from ultrafriable.estimators import C2, DEFAULT_C1, VARIANTS, Y_eps
 
 
 def run_cli(args, capsys):
@@ -436,6 +437,39 @@ def test_exact_count_past_the_split_budget_is_a_status_row(spec):
     assert row["status"].startswith("ResourceError"), row["status"]
 
 
+@pytest.mark.parametrize("spec", [
+    {"mode": "count", "x": 10**6, "y": 100},
+    {"mode": "count", "x": 10**6, "y": 100, "variant": "friable"},
+    {"mode": "compare", "x": math.exp(30), "y": 100, "variant": "T1i"},
+    {"mode": "estimate", "x": math.exp(30), "y": 100},
+])
+def test_modulus_past_trial_division_is_a_status_row(spec):
+    # q = 2^61 - 1 is prime: trial division to sqrt(q) would take hours
+    start = time.perf_counter()
+    row = compute_row({**spec, "q": 2**61 - 1})
+    assert time.perf_counter() - start < 1
+    assert row["status"].startswith(("ResourceError", "PreconditionError")), row["status"]
+
+
+def test_count_past_n_prints_log10_of_tau(capsys):
+    # every y-ultrafriable integer divides N < 10^1400, so the count is tau(N) >= 10^30
+    code, out = run_cli(["count", "--x", str(10**1400), "--y", "3000"], capsys)
+    row = dict(zip(COLUMNS, out.strip().splitlines()[1].split(",")))
+    table = build_table(3000)
+    assert code == 0 and row["status"] == "ok"
+    assert row["exact_value_or_log"] == "log10=133.981961976"
+    assert row["exact_value_or_log"] == cli._fmt_count(tau_N(table, modulus_context(1, table)))
+
+
+def test_grid_of_one_point_and_of_none(capsys):
+    code, out = run_cli(["count", "--x-grid", "e20:e20:1", "--y", "100"], capsys)
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 1
+    code = main(["count", "--x-grid", "1:10:0", "--y", "100"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "grid needs n >= 1" in captured.err
+
+
 def test_integer_axis_grid_points_stay_exact(capsys):
     # 2^53 + 1 is no float: a grid point keeps the class that --a counts
     args = ["count", "--x", "1000", "--y", "100", "--q", "2", "--jobs", "1"]
@@ -510,6 +544,43 @@ def test_compare_row_is_the_estimator_beside_its_count(variant, x, y, q, a, dire
         bud.regime.kind, bud.u, bud.eta, bud.omega_q)
     assert (row["delta_q"], row["d_q"], row["c_q"], row["budget"]) == (
         bud.delta_q, bud.dd_q, bud.cc_q, bud.stated_bound)
+
+
+def _stated_bound(row: dict) -> float:
+    """A variant's stated budget at a row's own u, eta, omega_q and d_q cells."""
+    u, eta, omega, dq = row["u"], row["eta"], row["omega_q"], row["d_q"]
+    q, y = row["q"], row["y"]
+    ly = math.log(y)
+    gap = q * u * math.log(2 * u) / (modulus_context(q, build_table(y)).phi_q * math.sqrt(y) * ly)
+    t1i = (1 + dq * dq) / u + dq * (1 + eta) / (math.sqrt(u) + eta * u)
+    t4 = math.exp(-DEFAULT_C1 * u / math.log(max(u, 1 + 1e-12)) ** 4) + 1 / Y_eps(y)
+    return {
+        "T1i": t1i,
+        "UPS": t1i,
+        "T1ii": omega * (1 + eta) / (math.sqrt(u) + eta * u) + (1 + omega * omega) / u,
+        "T1iii": eta * omega + math.log(q) / (math.sqrt(u) * ly) + omega * omega / u,
+        "REMC": gap + 1 / u,
+        "T2": gap,
+        "T4": t4,
+        "R6": t4,
+        "T5": math.log(q) / (u**C2 * ly) + 1 / ly,
+    }[row["variant"]]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_row_states_its_budget_at_its_own_cells(variant):
+    # R6 at d = (a, q) > 1 states the bound of (x/d, y): its u and eta cells are those of x/d
+    xs = [10**4, 10**6, math.exp(15), math.exp(20), math.exp(22), math.exp(24), math.exp(25)]
+    ok = 0
+    for x, y, q, a in itertools.product(xs, (50, 1000), (6, 30), (1, 2, 5)):
+        row = compute_row({"mode": "estimate", "x": x, "y": y, "q": q, "a": a, "variant": variant})
+        if row["status"] != "ok":
+            continue
+        ok += 1
+        assert row["budget"] == pytest.approx(_stated_bound(row), rel=1e-12), row
+        if variant not in ("REMC", "T2", "T5"):
+            assert row["eta"] > 0, row
+    assert ok >= 4
 
 
 @pytest.mark.parametrize("kind", ["ultrafriable", "friable"])

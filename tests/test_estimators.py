@@ -1,5 +1,7 @@
 import inspect
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -290,6 +292,14 @@ def test_exact_count_is_the_count_each_variant_estimates(variant):
     a = {"T4": 5, "T5": 5, "R6": 2}.get(variant)
     expected = naive_oracle(10**4, 30, a=a, q=1 if variant == "UPS" else 6)
     assert exact_count(variant, 10**4, table, ctx, a) == expected
+
+
+def test_readme_variant_table_names_every_variant():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Estimator variants", 1)[1].split("\n## ", 1)[0]
+    first_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    names = [name for cell in first_cells for name in re.findall(r"`([^`]+)`", cell)]
+    assert sorted(names) == sorted(VARIANTS)
 
 
 @pytest.mark.parametrize("variant", ["T4", "T5", "R6"])

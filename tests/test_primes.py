@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -13,7 +14,7 @@ from ultrafriable import (
     modulus_context,
     tau_N,
 )
-from ultrafriable.primes import max_exponents, nth_prime, psi_q, sieve_primes
+from ultrafriable.primes import factorize, max_exponents, nth_prime, psi_q, sieve_primes
 
 
 def brute_nu(p: int, y: int) -> int:
@@ -123,6 +124,24 @@ def test_modulus_phi_exact():
         assert c.phi_q == phi
         assert c.omega_q == len(c.prime_divisors)
         assert c.z_q == nth_prime(c.omega_q)
+
+
+def test_factorize_is_full_up_to_10_12():
+    assert factorize(10**12 + 39) == {10**12 + 39: 1}
+    assert factorize(999983 * 999979) == {999979: 1, 999983: 1}
+    assert factorize(2**40) == {2: 40}
+    # a cofactor with no prime factor up to 10^6 is prime below (10^6 + 1)^2
+    assert factorize(7 * (10**12 + 39)) == {7: 1, 10**12 + 39: 1}
+
+
+@pytest.mark.parametrize("q", [2**61 - 1, 10**16 + 61, (10**6 + 3) * (10**12 + 39)])
+def test_modulus_past_trial_division_is_refused_at_once(table100, q):
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="trial division"):
+        factorize(q)
+    with pytest.raises(ResourceError, match="trial division"):
+        modulus_context(q, table100)
+    assert time.perf_counter() - start < 1
 
 
 def test_tau_N_examples(table10, table100):
