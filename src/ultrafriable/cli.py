@@ -272,6 +272,17 @@ def _jobs(text: str) -> int:
     return int(text)
 
 
+def _c1(text: str) -> float:
+    """A --c1 value: a finite float > 0."""
+    try:
+        c1 = float(text)
+    except ValueError:
+        c1 = math.nan
+    if not (math.isfinite(c1) and c1 > 0):
+        raise argparse.ArgumentTypeError(f"need a finite c1 > 0, got {text!r}")
+    return c1
+
+
 _OUTPUT = ("format", "out", "jobs")
 _ESTIMATE = ("variant", "c1", *_OUTPUT)
 
@@ -293,7 +304,7 @@ _FLAGS = {
     "q": {"type": int},
     "a": {"type": int},
     "variant": {"help": "|".join(es.VARIANTS) + ", or count kind; comma list"},
-    "c1": {"type": float, "default": es.DEFAULT_C1, "help": "c1 of the T4, R6 and chars budgets"},
+    "c1": {"type": _c1, "default": es.DEFAULT_C1, "help": "c1 of the T4, R6 and chars budgets"},
     "format": {"choices": ("csv", "json"), "default": "csv"},
     "out": {},
     "jobs": {"type": _jobs, "default": 0,

@@ -13,18 +13,18 @@ N = prod p^nu_p over p <= y, p ∤ q: their head is the prefix of these rows
 over p <= sqrt(x), or the cached engine of all of them when y <= sqrt(x).
 A y-friable head is the rows (p, nu_p(x)), p^nu_p(x) <= x < p^(nu_p(x)+1).
 Every set of rows is made by ``_coprime_rows``, and a head is one engine
-(``_DivisorRows``) with two queries: ``count_le(bound)``, its divisors
-<= bound, and ``classes_le(bound, q)``, those per class mod q.
+(``_DivisorRows``) whose query ``classes_le(bound, q)`` counts its divisors
+<= bound per class mod q.
 
-Both queries run one meet-in-the-middle core (the Horowitz-Sahni split) at
+Each query runs one meet-in-the-middle core (the Horowitz-Sahni split) at
 bounds 1 <= X < 2^63:
 
 * the rows are dealt to two interleaved halves, and each half's divisors
   <= X are listed as a sorted int64 array A or B;
 * every pair a * b <= X has a <= sqrt(X) or b <= sqrt(X), so only the list
   entries up to sqrt(X) are searched;
-* plain count -- ``searchsorted(B, X // a)`` summed over a <= sqrt(X), and
-  the same with the lists swapped, minus the pairs counted twice;
+* plain count, q = 1 -- ``searchsorted(B, X // a)`` summed over a <= sqrt(X),
+  and the same with the lists swapped, minus the pairs counted twice;
 * class count -- the entries v up to sqrt(X) of one list are taken largest
   first, so their bounds X // v ascend and each pairs v with a longer
   prefix of the other list; one prefix sweep over blocks of (bound, class)
@@ -42,17 +42,17 @@ list built from two halves has its length counted before it is allocated,
 and a list longer than ``LIST_CAP`` (2^25 entries, 256 MB of int64) raises
 ResourceError.  Every product formed is at most X, so none overflows int64.
 
-``count_le`` answers tau(N) for a bound >= N, and the divisor symmetry of N
-reflects a bound >= sqrt(N): the count is tau(N) minus the number of
-divisors below N/bound.  A bound still >= 2^63 splits off the largest
-remaining prime power into its nu + 1 cofactor bounds, each counted the
-same way.  The split is planned on an explicit stack from integer bounds
-before any list is built; more than ``SPLIT_CAP`` (2^12) sub-bounds raise
-ResourceError.  The sub-bounds on the same rows rows[:k] share one pair of
-half lists, built at the largest of them.  ``classes_le`` answers a bound
->= N from the exact full residue vector, built once per (rows, q), and
-refuses bounds in [2^63, N).  Bounds given as reals are floored once on
-entry (counts are step functions of x); a negative bound is a DomainError.
+``classes_le(bound, q)`` is the engine's one query; ``count_le(bound)`` is
+``classes_le(bound, 1)[0]``.  ``_split_plan`` plans it from integer bounds
+before any list is built.  A bound >= N is the full vector, once per
+(rows, q) in exact Python ints.  At q = 1 only (mod q > 1 the class of N/d
+is no function of that of d), a bound >= sqrt(N) is reflected by the
+divisor symmetry to tau(N) minus the divisors below N/bound.  A bound
+>= 2^63 splits off the largest prime power p^nu left into the bounds
+bound // p^e, their classes times p^e mod q; over ``SPLIT_CAP`` (2^12)
+sub-bounds raise ResourceError.  Sub-bounds on rows[:k] share one pair of
+half lists, built at the largest.  Real bounds are floored once on entry
+(counts are step functions of x); a negative bound is a DomainError.
 
 Measured times and memory peaks are in the Scope notes of the README.
 """
@@ -252,9 +252,11 @@ def _residue_pairs(A: np.ndarray, B: np.ndarray, X: int, q: int) -> np.ndarray:
     there are no more pairs than max(``_DIRECT_PAIRS``, that length) * q,
     that is fewer pairs than cells, or so few that the sweep's fixed cost of
     some dozen numpy calls a block would dominate, the products are listed
-    and binned instead.
+    and binned instead.  At q = 1 the count of ``_count_pairs`` is the answer.
     """
     pairs = _count_pairs(A, B, X)
+    if q == 1:
+        return np.array([pairs])
     if pairs > _DIRECT_PAIRS * q:
         s, a_small, b_small = _small_parts(A, B, X)
         if pairs > (len(a_small) + len(b_small)) * q:
@@ -272,33 +274,33 @@ def _halves(rows, X: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# the engine: (p, nu) rows and their two queries, divisors <= a bound and
-# divisors <= a bound per class mod q
+# the engine: (p, nu) rows and their one query, divisors <= a bound per class mod q
 # ---------------------------------------------------------------------------
 
-def _split_plan(rows, N: int, tau: int, bound: int) -> tuple[int, list]:
-    """(total, leaves): the divisors <= bound of N number total plus, over the
-    leaves (sign, k, b), sign times the divisors <= b < 2^63 of rows[:k]."""
-    total, leaves = 0, []
-    stack = [(1, len(rows), N, tau, bound)]
+def _split_plan(rows, N: int, bound: int, q: int) -> list:
+    """Leaves (sign, k, b, m): the divisors <= bound of N, per class mod q, are
+    the sum over the leaves of sign times the divisors <= b < 2^63 of rows[:k]
+    (all of them for b = None), with their classes multiplied by m mod q."""
+    leaves = []
+    stack = [(1, len(rows), N, bound, 1 % q)]
     for _ in range(SPLIT_CAP + 1):
         if not stack:
-            return total, leaves
-        sign, k, N, tau, bound = stack.pop()
+            return leaves
+        sign, k, N, bound, m = stack.pop()
         if bound < 1:
             continue
-        if bound * bound >= N:
-            total += sign * tau
+        if bound >= N or (q == 1 and bound * bound >= N):
+            leaves.append((sign, k, None, m))
             if bound >= N:
                 continue
-            # symmetry: divisors > bound pair with divisors < N/bound
+            # symmetry, at q = 1: divisors > bound pair with divisors < N/bound
             sign, bound = -sign, (N - 1) // bound
         if bound < _INT64_LIMIT:
-            leaves.append((sign, k, bound))
+            leaves.append((sign, k, bound, m))
             continue
         p, nu = rows[k - 1]
-        N, tau = N // p ** nu, tau // (nu + 1)
-        stack += [(sign, k - 1, N, tau, bound // p ** e) for e in range(nu + 1)]
+        N //= p ** nu
+        stack += [(sign, k - 1, N, bound // p ** e, m * p ** e % q) for e in range(nu + 1)]
     raise ResourceError(f"a bound past 2^63 splits into more than {SPLIT_CAP} sub-bounds")
 
 
@@ -327,51 +329,49 @@ def _check_modulus(q: int):
 
 
 class _DivisorRows:
-    """The (p, nu_p) rows of N = prod p^nu_p, ascending in p, and the two
-    exact queries on their divisors.
+    """The (p, nu_p) rows of N = prod p^nu_p, ascending in p, and the exact
+    query on their divisors.
 
     The rows are a tuple of Python int pairs, made by ``_coprime_rows`` from
     the table's arrays, and engines over the same primes share one tuple.
     Each query builds the half lists it needs at its own bound, from leaf
-    lists shared through ``_all_divisors``.  N and tau(N) are computed on
-    first use, never for rows that only feed heads over p <= sqrt(x): at
-    y = 10^6, N has 1.4 million bits.
+    lists shared through ``_all_divisors``.  N is computed on first use,
+    never for rows that only feed heads over p <= sqrt(x): at y = 10^6, N
+    has 1.4 million bits.
     """
 
     tail_divs = ()  # an engine holds no divisor list; the leaf lists are shared
     N = cached_property(lambda self: math.prod(p ** nu for p, nu in self.rows))
-    tau = cached_property(lambda self: math.prod(nu + 1 for _, nu in self.rows))
 
     def __init__(self, rows):
         self.rows = tuple(rows)
 
     def count_le(self, bound: int) -> int:
         """Number of divisors of N that are <= bound (exact)."""
-        total, leaves = _split_plan(self.rows, self.N, self.tau, bound)
-        by_k = {}
-        for sign, k, b in leaves:
-            by_k.setdefault(k, []).append((sign, b))
-        for k, group in by_k.items():
-            # lists built at the group's largest bound hold those of every smaller
-            # one; they are freed before the next group's lists are built
-            A, B = _halves(self.rows[:k], max(b for _, b in group))
-            total += sum(sign * _count_pairs(A, B, b) for sign, b in group)
-            del A, B
-        return total
+        return self.classes_le(bound, 1)[0]
 
     def classes_le(self, bound: int, q: int) -> tuple[int, ...]:
         """Divisors of N that are <= bound, counted per class mod q (exact).
 
-        A bound >= N gives the full vector, built once per (rows, q); a
-        bound in [2^63, N) raises ResourceError.
+        The leaves of ``_split_plan`` on rows[:k] share one pair of half
+        lists, built at their largest bound and freed before the next k's.
+        Each leaf's class r is added into class r * m mod q, many to one when
+        gcd(m, q) > 1.
         """
-        if bound >= self.N:
-            return _full_residues(self.rows, q)
-        if bound < 1:
-            return (0,) * q
-        if bound >= _INT64_LIMIT:
-            raise ResourceError("residue counting bound exceeds the exact int64 range")
-        return tuple(_residue_pairs(*_halves(self.rows, bound), bound, q).tolist())
+        by_k = {}
+        for sign, k, b, m in _split_plan(self.rows, self.N, bound, q):
+            by_k.setdefault(k, []).append((sign, b, m))
+        vec = [0] * q
+        for k, group in by_k.items():
+            top = max((b for _, b, _ in group if b is not None), default=None)
+            halves = None if top is None else _halves(self.rows[:k], top)
+            for sign, b, m in group:
+                part = _full_residues(self.rows[:k], q) if b is None else \
+                    _residue_pairs(*halves, b, q).tolist()
+                for r, c in enumerate(part):
+                    vec[r * m % q] += sign * c
+            del halves
+        return tuple(vec)
 
 
 def _coprime_rows(p: np.ndarray, nu: np.ndarray, q_primes) -> tuple:

@@ -176,6 +176,12 @@ def compare(exact: int, est: EstimateBreakdown) -> ComparisonRecord:
 # each theorem variant's domain and stated budget
 # ---------------------------------------------------------------------------
 
+def _check_c1(c1: float):
+    """c1 scales u in exp(-c1 u / ...): only a finite c1 > 0 gives a bound."""
+    if not (math.isfinite(c1) and c1 > 0):
+        raise DomainError(f"need a finite c1 > 0, got {c1}")
+
+
 def _budget(variant: str, x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
             c1: float = DEFAULT_C1) -> ErrorBudget:
     """The error budget of a variant at (x, y, q) with its stated bound, once x
@@ -183,6 +189,7 @@ def _budget(variant: str, x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCo
     T5 and the saddle domain for the rest, and the eta conditions of T1ii and
     T1iii.  R6 passes the reduced problem's x/d, so its cells are those of (x/d, y).
     """
+    _check_c1(c1)
     ctx.require_p_plus_le_y()
     bud = error_budget(x, table, ctx)
     u, eta, omega = bud.u, bud.eta, bud.omega_q
@@ -431,6 +438,7 @@ def t3_bound(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext, chi,
     |sum chi(n)| / Upsilon_q, both from the one cached residue vector: its
     coprime classes add up to Upsilon_q.
     """
+    _check_c1(c1)
     if chi.is_principal:
         raise DomainError("the character-sum bound concerns nonprincipal characters")
     if chi.modulus != ctx.q:

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from ultrafriable import (build_table, compare, enumerate_characters, estimate_noncoprime,
-                          estimate_progression, estimate_t2, estimate_upsilon, estimate_upsilon_q,
-                          exact_count, modulus_context, naive_oracle, t3_bound, tau_N)
+from ultrafriable import (build_table, compare, count_ultrafriable, count_ultrafriable_residues,
+                          enumerate_characters, estimate_noncoprime, estimate_progression,
+                          estimate_t2, estimate_upsilon, estimate_upsilon_q, exact_count,
+                          modulus_context, naive_oracle, t3_bound, tau_N)
 from ultrafriable import cli
 from ultrafriable import primes as pr
 from ultrafriable.calibration import DATA_FILE
@@ -206,6 +207,19 @@ def test_c1_reaches_the_character_sum_ceiling(capsys):
             continue
         assert row["budget"] == _fmt(t3_bound(parse_x("e30"), table, ctx, chi, c1=2.5).bound_theta1)
         assert row["budget"] != _fmt(t3_bound(parse_x("e30"), table, ctx, chi).bound_theta1)
+
+
+@pytest.mark.parametrize("c1", ["nan", "inf", "0", "-1"])
+@pytest.mark.parametrize("command", ["estimate", "compare", "sweep", "chars"])
+def test_meaningless_c1_is_a_usage_error(capsys, command, c1):
+    args = ["--q", "7", "--x", "e30", "--y", "100", f"--c1={c1}"]
+    if command != "chars":
+        args += ["--variant", "T4", "--a", "3"]
+    with pytest.raises(SystemExit) as ei:
+        main([command] + args)
+    captured = capsys.readouterr()
+    assert ei.value.code == 2 and captured.out == ""
+    assert "--c1: need a finite c1 > 0" in captured.err
 
 
 def test_missing_args_exit_2(capsys):
@@ -435,6 +449,24 @@ def test_exact_count_past_the_split_budget_is_a_status_row(spec):
     row = compute_row(spec)
     assert time.perf_counter() - start < 1
     assert row["status"].startswith("ResourceError"), row["status"]
+
+
+@pytest.mark.parametrize("args, q, a", [
+    (["count"], 7, 3),
+    (["compare", "--variant", "T4"], 7, 3),
+    (["compare", "--variant", "R6"], 6, 2),
+])
+def test_class_rows_past_2_63(capsys, args, q, a):
+    # e^45 > 2^63: the class count is planned past 2^63 like a plain count, and
+    # the row's count is its class in a vector that sums to the plain count
+    code, out = run_cli(args + ["--x", "e45", "--y", "100", "--q", str(q), "--a", str(a),
+                                "--jobs", "1"], capsys)
+    row = dict(zip(COLUMNS, out.strip().splitlines()[1].split(",")))
+    assert code == 0 and row["status"] == "ok", row["status"]
+    table = build_table(100)
+    rc = count_ultrafriable_residues(parse_x("e45"), table, q)
+    assert row["exact_value_or_log"] == str(rc[a])
+    assert rc.total() == count_ultrafriable(parse_x("e45"), table)
 
 
 @pytest.mark.parametrize("spec", [

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from ultrafriable import (
@@ -501,12 +501,20 @@ def test_coprime_total_is_exact_past_2_63():
 
 
 def test_residue_bounds_up_to_int64(table100):
-    x = 2**63 - 1
-    rc = count_ultrafriable_residues(x, table100, 7)
-    assert rc.total() == count_ultrafriable(x, table100)
-    assert rc.coprime_total() == count_ultrafriable(x, table100, modulus_context(7, table100))
-    with pytest.raises(ResourceError):
-        count_ultrafriable_residues(2**63, table100, 7)
+    for x in (2**63 - 1, 2**63, int(math.exp(45))):
+        rc = count_ultrafriable_residues(x, table100, 7)
+        assert rc.total() == count_ultrafriable(x, table100)
+        assert rc.coprime_total() == count_ultrafriable(x, table100, modulus_context(7, table100))
+
+
+def test_class_split_past_the_budget_raises_before_counting():
+    # a class plan has no reflection, so y = 150 at e^70 passes SPLIT_CAP
+    # sub-bounds mod 7; the plan stops before any divisor list is built
+    t = build_table(150)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="sub-bounds"):
+        count_ultrafriable_residues(int(math.exp(70)), t, 7)
+    assert time.perf_counter() - start < 1
 
 
 def test_split_past_the_budget_raises_before_counting():
@@ -523,8 +531,9 @@ def test_full_residue_vector_built_once_per_rows_and_modulus(table50):
     engine = ct.get_residue_counter(table50, 11)
     ct._full_residues(engine.rows, 11)
     misses = ct._full_residues.cache_info().misses
+    tau = tau_N(table50, modulus_context(1, table50))
     for x in (engine.N, engine.N + 1, 2 * engine.N, 10**40):
-        assert count_ultrafriable_residues(x, table50, 11).total() == ct.get_counter(table50).tau
+        assert count_ultrafriable_residues(x, table50, 11).total() == tau
     assert ct._full_residues.cache_info().misses == misses
 
 
@@ -589,9 +598,9 @@ def test_bounds_above_int64_match_powers_of_two_split(y, lx):
 def test_lowered_int64_limit_splits_at_oracle_scale():
     # the harness below is vacuous unless the plan reads the patched limit
     rows = ct.get_counter(build_table(89)).rows
-    N, tau = math.prod(p ** nu for p, nu in rows), math.prod(nu + 1 for _, nu in rows)
+    N = math.prod(p ** nu for p, nu in rows)
     with mock.patch.object(ct, "_INT64_LIMIT", 50):
-        _, leaves = ct._split_plan(rows, N, tau, 10**5)
+        leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(rows, N, 10**5, 1) if b is not None]
     assert len(leaves) > 1000 and all(b < 50 for _, _, b in leaves)
 
 
@@ -614,6 +623,29 @@ def test_split_and_reflection_exact_at_oracle_scale(limit, qy, pick):
         friable = count_friable(x, y, q)
     assert plain == naive_oracle(x, y, q=q)
     assert friable == naive_oracle(x, y, q=q, mode="friable")
+
+
+@seed(21)
+@settings(max_examples=40, deadline=None)
+@given(limit=st.sampled_from((50, 300, 2000, 10**4, 10**5)),
+       qy=st.sampled_from((2, 3, 4, 6, 7, 12, 30, 210)).flatmap(lambda q: st.tuples(
+           st.just(q), st.integers(min_value=2, max_value=89))),
+       pick=st.randoms(use_true_random=True))
+@example(limit=300, qy=(30, 89), pick=random.Random(0))  # runs first, and fails without shrinking
+def test_class_split_exact_at_oracle_scale(limit, qy, pick):
+    # with the int64 limit lowered, class counts at x < 10^6 take the split past
+    # the limit: each leaf's classes are multiplied by the prime powers split off,
+    # and there is no reflection; every class must stay exact
+    q, y = qy
+    x = pick.randrange(1, 10**6)
+    t = build_table(y)
+    ct._class_vector.cache_clear()  # vectors cached at the real limit would skip the split
+    with mock.patch.object(ct, "_INT64_LIMIT", limit), mock.patch.object(ct, "SPLIT_CAP", 1 << 17):
+        plain = count_ultrafriable_residues(x, t, q)
+        friable = ct._class_vector(x, y, q, "friable")
+    for a in range(q):
+        assert plain[a] == naive_oracle(x, y, a=a, q=q)
+        assert friable[a] == naive_oracle(x, y, a=a, q=q, mode="friable")
 
 
 def test_lists_cached_under_a_lowered_limit_stay_whole():
@@ -681,7 +713,7 @@ def test_split_lists_each_row_prefix_once():
     t = build_table(100)
     x = int(math.exp(45))
     engine = ct.get_counter(t)
-    _, leaves = ct._split_plan(engine.rows, engine.N, engine.tau, x)
+    leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(engine.rows, engine.N, x, 1) if b is not None]
     ks = {k for _, k, _ in leaves}
     assert len(leaves) > len(ks) > 1
     with mock.patch.object(ct, "_halves", wraps=ct._halves) as halves:
@@ -697,7 +729,7 @@ def test_split_peak_is_one_groups_lists(y, lx):
     # count peaks at the largest single group, not at two groups at once
     engine = ct.get_counter(build_table(y))
     x = int(math.exp(lx))
-    _, leaves = ct._split_plan(engine.rows, engine.N, engine.tau, x)
+    leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(engine.rows, engine.N, x, 1) if b is not None]
     tops = {}
     for _, k, b in leaves:
         tops[k] = max(tops.get(k, 0), b)

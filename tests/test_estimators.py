@@ -413,3 +413,17 @@ def test_eps_c0_c2_are_fixed_constants():
     table = build_table(100)
     with pytest.raises(TypeError):
         estimate_progression(math.exp(20), table, modulus_context(7, table), 1, c0=0.5)
+
+
+@pytest.mark.parametrize("c1", [math.nan, math.inf, 0.0, -1.0])
+def test_meaningless_c1_is_a_domain_error(table100, c1):
+    # a nan, infinite, zero or negative c1 gives no bound: nan, the bare 1/Y_eps,
+    # or an exp term that grows with u
+    ctx = modulus_context(7, table100)
+    x = math.exp(30)
+    for call in (lambda: estimate("T4", x, table100, ctx, a=3, c1=c1),
+                 lambda: estimate("R6", x, table100, modulus_context(6, table100), a=2, c1=c1),
+                 lambda: estimate_progression(x, table100, ctx, 3, "T4", c1=c1),
+                 lambda: t3_bound(x, table100, ctx, enumerate_characters(7)[1], c1=c1)):
+        with pytest.raises(DomainError, match="c1"):
+            call()

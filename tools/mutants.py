@@ -1,0 +1,124 @@
+"""Mutation check: each mutant of the package must fail the tests named for it.
+
+Usage, from the repository root (no install; each copy imports its own
+``src/``):
+
+    python3 tools/mutants.py
+
+Each entry of ``MUTANTS`` is (name, file, old text, new text, test files).
+The old text must occur exactly once in its file; every entry is checked
+before any test runs.  An unmutated copy of the repository runs every test
+file named in the list and must pass, so that a broken suite cannot pass
+for a killed mutant.  Then each mutant is applied to a fresh temporary copy,
+where ``pytest -x`` runs its test files: a failing test kills it.  One line
+is printed per mutant, killed or survived with its time.  The exit status is
+1 if any mutant survives, or if a run neither passes nor fails (a timeout, a
+collection error).
+
+A mutant here changes a count.  A change of path or spelling that never
+changes a result (say ``bound * bound >= N`` made ``>``) is an equivalent
+mutant: no test can kill it, and it does not belong in the list.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+COUNTING = "src/ultrafriable/counting.py"
+PRIMES = "src/ultrafriable/primes.py"
+COUNTING_TESTS = ("tests/test_counting.py",)
+TIMEOUT_S = 300  # per pytest run
+
+MUTANTS = (
+    # the list entries up to sqrt(X) must include sqrt(X) itself
+    ("small parts cut left", COUNTING,
+     'A[:np.searchsorted(A, s, "right")]', 'A[:np.searchsorted(A, s, "left")]', COUNTING_TESTS),
+    # each block of the class sweep starts from the last row of the block before
+    ("class sweep carry dropped", COUNTING, "        C[0] += carry\n", "", COUNTING_TESTS),
+    # divisors > bound pair with divisors < N/bound, strictly
+    ("reflected bound not strict", COUNTING, "(N - 1) // bound", "N // bound", COUNTING_TESTS),
+    # the squarefree d | rad(q) up to max(M), inclusive
+    ("inclusion-exclusion stops below max M", COUNTING,
+     "if d * p <= top]", "if d * p < top]", COUNTING_TESTS),
+    # the float floor of log(bound) / log(p) is corrected up when p^(e+1) == bound
+    ("exponent upward correction strict", PRIMES,
+     "e += p ** (e + 1) <= bound", "e += p ** (e + 1) < bound",
+     ("tests/test_primes.py", "tests/test_counting.py")),
+    # peeling p^e off a bound past 2^63 multiplies the classes below it by p^e
+    ("split multiplier dropped", COUNTING, "m * p ** e % q)", "m)", COUNTING_TESTS),
+    # mod q > 1 the class of N/d is not a function of the class of d
+    ("reflection at every q", COUNTING,
+     "(q == 1 and bound * bound >= N)", "(bound * bound >= N)", COUNTING_TESTS),
+    # a bound >= N counts every divisor of the rows
+    ("full-divisor leaf dropped", COUNTING,
+     "leaves.append((sign, k, None, m))", "pass", COUNTING_TESTS),
+)
+
+
+def _check():
+    """Each old text occurs exactly once in its file."""
+    for name, path, old, _, _ in MUTANTS:
+        n = (ROOT / path).read_text().count(old)
+        if n != 1:
+            sys.exit(f"mutant {name!r}: its old text occurs {n} times in {path}, not once")
+
+
+def _copy(dest: Path) -> Path:
+    tree = dest / "repo"
+    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+        ".git", "out", "__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info"))
+    return tree
+
+
+def _pytest(tree: Path, tests) -> int | None:
+    """pytest's exit code on the test files in the copy, or None on a timeout."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        run = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    return run.returncode
+
+
+def _run(mutant=None, tests=()) -> tuple[int | None, float]:
+    """(exit code, seconds) of the tests in a fresh copy, with the mutant applied."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tree = _copy(Path(tmp))
+        if mutant is not None:
+            _, path, old, new, tests = mutant
+            f = tree / path
+            f.write_text(f.read_text().replace(old, new))
+        start = time.perf_counter()
+        code = _pytest(tree, tests)
+        return code, time.perf_counter() - start
+
+
+def main() -> int:
+    _check()
+    tests = sorted({t for m in MUTANTS for t in m[4]})
+    code, secs = _run(tests=tests)
+    print(f"{'unmutated':9} {secs:6.1f} s  {' '.join(tests)}", flush=True)
+    if code != 0:
+        print(f"the unmutated tests exit {code}; no mutant can be judged", file=sys.stderr)
+        return 1
+
+    bad = 0
+    for mutant in MUTANTS:
+        code, secs = _run(mutant)
+        status = {0: "SURVIVED", 1: "killed"}.get(code, "ERROR" if code is not None else "TIMEOUT")
+        bad += status != "killed"
+        print(f"{status:9} {secs:6.1f} s  {mutant[0]}  ({mutant[1]})", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
