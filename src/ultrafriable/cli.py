@@ -153,7 +153,7 @@ def _dispatch(spec: dict, row: dict):
             table = pr.build_table(y)
             row["regime"] = pr.classify_regime(max(x, 2.0), table).kind
             if a is None:
-                n = ct.count_ultrafriable(x, table, pr.modulus_context(q, table))
+                n = ct.count_ultrafriable(x, table, _context(q, y))
             else:
                 n = ct.count_ultrafriable_residues(x, table, q)[a]
         row["exact_value_or_log"] = _fmt_count(n)
@@ -189,7 +189,7 @@ def _dispatch(spec: dict, row: dict):
         )
         if x is not None and y is not None and not chi.is_principal:
             table = pr.build_table(y)
-            diag = es.t3_bound(x, table, _chars_context(q, y), chi, c1=spec.get("c1", es.DEFAULT_C1))
+            diag = es.t3_bound(x, table, _context(q, y), chi, c1=spec.get("c1", es.DEFAULT_C1))
             row["exact_value_or_log"] = _fmt(diag.exact_ratio)
             row["budget"] = diag.bound_theta1
             row["error_over_budget"] = diag.exact_ratio / diag.bound_theta1
@@ -198,7 +198,7 @@ def _dispatch(spec: dict, row: dict):
         return
 
     table = pr.build_table(y)
-    ctx = pr.modulus_context(q, table)
+    ctx = _context(q, y)
 
     if mode in ("estimate", "compare"):
         variant = spec.get("variant") or "T1i"
@@ -216,9 +216,10 @@ def _dispatch(spec: dict, row: dict):
     raise ValueError(f"unknown mode {mode!r}")
 
 
-@lru_cache(maxsize=8)
-def _chars_context(q: int, y: int) -> pr.ModulusContext:
-    """The modulus context that the phi(q) rows of one chars run share."""
+# x is the outermost grid axis, so each x point revisits every (q, y) pair of the grid
+@lru_cache(maxsize=256)
+def _context(q: int, y: int) -> pr.ModulusContext:
+    """The modulus context of (q, y), factored once for all the rows that share it."""
     return pr.modulus_context(q, pr.build_table(y))
 
 
@@ -226,12 +227,19 @@ def _chars_context(q: int, y: int) -> pr.ModulusContext:
 # output
 # ---------------------------------------------------------------------------
 
+def _cells(row: dict) -> list:
+    """The row's cells in COLUMNS order, formatted once for CSV and JSON alike;
+    an empty cell stays None (csv.writer writes it as "", JSON as null)."""
+    return [None if v is None else _fmt(v) for v in map(row.get, COLUMNS)]
+
+
+_CSV_HEADER = ",".join(COLUMNS) + "\n"
+
+
 def rows_to_csv(rows: list[dict]) -> str:
     buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(COLUMNS)
-    for row in rows:
-        w.writerow([_fmt(row.get(c)) for c in COLUMNS])
+    buf.write(_CSV_HEADER)
+    csv.writer(buf, lineterminator="\n").writerows(map(_cells, rows))
     return buf.getvalue()
 
 
@@ -242,8 +250,7 @@ def rows_to_json(rows: list[dict], config: dict, elapsed: float) -> str:
             "config": config,
             "timing_seconds": round(elapsed, 6),
         },
-        "rows": [{c: (_fmt(row.get(c)) if row.get(c) is not None else None) for c in COLUMNS}
-                 for row in rows],
+        "rows": [dict(zip(COLUMNS, _cells(row))) for row in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 

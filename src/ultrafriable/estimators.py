@@ -261,7 +261,7 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
     beta, s2 = res.sigma, res.sigma_j[2]
     log_zq = sd.log_Z_q(beta, table, ctx)
     log_g = math.log(sd.gaussian_G(beta * math.sqrt(s2)))
-    gq = sd.arithmetic_factors(beta, ctx, table).g_q
+    gq = sd.g_q(beta, ctx, table)
 
     correction = math.log1p(omega / math.sqrt(math.pi * bud.u)) if variant == "T1iii" else 0.0
     factors = {

@@ -467,21 +467,29 @@ class ArithmeticFactors:
 _GAMMA_CROSSOVER = 1e-6  # use the s -> 0 limits below s * log y < this
 
 
-def arithmetic_factors(s: float, ctx: pr.ModulusContext, table: pr.PrimePowerTable,
-                       d: int | None = None) -> ArithmeticFactors:
-    """g_q, f_q, gamma_q', gamma_q'' (and h_d for a squarefree divisor d | q)."""
+def g_q(s: float, ctx: pr.ModulusContext, table: pr.PrimePowerTable) -> float:
+    """g_q(s) = prod_{p | q, p <= y} (1 - p^{-s}) / (1 - p^{-(nu_p+1)s}) alone,
+    without the phi_j pass that ``arithmetic_factors`` makes for gamma_q', gamma_q''."""
     if s <= 0:
         raise DomainError(f"need s > 0, got {s}")
     ctx.require_p_plus_le_y()
     if not ctx.prime_divisors:
-        g = f = 1.0
+        return 1.0
+    em = np.expm1(-s * _series(table.y, ctx.prime_divisors, coprime=False).z1)
+    n = len(em) // 2
+    return float(np.prod(em[:n] / em[n:]))
+
+
+def arithmetic_factors(s: float, ctx: pr.ModulusContext, table: pr.PrimePowerTable,
+                       d: int | None = None) -> ArithmeticFactors:
+    """g_q, f_q, gamma_q', gamma_q'' (and h_d for a squarefree divisor d | q)."""
+    g = g_q(s, ctx, table)  # checks s > 0 and P+(q) <= y
+    if not ctx.prime_divisors:
+        f = 1.0
         g1 = g2 = 0.0
     else:
         ser = _series(table.y, ctx.prime_divisors, coprime=False)
-        em = np.expm1(-s * ser.z1)
-        n = len(em) // 2
-        g = float(np.prod(em[:n] / em[n:]))
-        f = float(np.prod(-em[:n]))
+        f = float(np.prod(-np.expm1(-s * ser.z1[:len(ser.z1) // 2])))
         if s * math.log(table.y) < _GAMMA_CROSSOVER:
             g1 = ser.half_psi
             # sum c[2] = sum (log p)^2 (1 - (nu_p+1)^2) = -sum nu_p (nu_p+2) (log p)^2

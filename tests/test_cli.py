@@ -1,4 +1,6 @@
 import argparse
+import csv
+import io
 import itertools
 import json
 import math
@@ -8,14 +10,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ultrafriable import (build_table, compare, count_ultrafriable, count_ultrafriable_residues,
-                          enumerate_characters, estimate_noncoprime, estimate_progression,
-                          estimate_t2, estimate_upsilon, estimate_upsilon_q, exact_count,
-                          modulus_context, naive_oracle, t3_bound, tau_N)
+from ultrafriable import (__version__, build_table, compare, count_ultrafriable,
+                          count_ultrafriable_residues, enumerate_characters, error_budget,
+                          estimate_noncoprime, estimate_progression, estimate_t2, estimate_upsilon,
+                          estimate_upsilon_q, exact_count, modulus_context, naive_oracle, t3_bound,
+                          tau_N)
 from ultrafriable import cli
 from ultrafriable import primes as pr
+from ultrafriable import saddle as sd
 from ultrafriable.calibration import DATA_FILE
 from ultrafriable.cli import COLUMNS, _fmt, build_parser, compute_row, main, parse_grid, parse_x
 from ultrafriable.estimators import C2, DEFAULT_C1, VARIANTS, Y_eps
@@ -373,13 +378,115 @@ def test_chars_bad_modulus_exit_2(capsys):
 
 def test_chars_builds_one_modulus_context(capsys, monkeypatch):
     # the phi(q) rows of a chars run share the context of (q, y)
-    cli._chars_context.cache_clear()
+    cli._context.cache_clear()
     built = []
     real = pr.modulus_context
     monkeypatch.setattr(pr, "modulus_context", lambda q, table: built.append(q) or real(q, table))
     code, out = run_cli(["chars", "--q", "11", "--x", "e30", "--y", "100", "--jobs", "1"], capsys)
     assert code == 0 and len(out.strip().splitlines()) == 1 + 10
     assert built == [11]
+
+
+def test_estimate_grid_builds_one_context_per_q_and_y(capsys, monkeypatch):
+    # x is the outermost axis, so each (y, q) pair recurs once per x point
+    cli._context.cache_clear()
+    built = []
+    real = pr.modulus_context
+    monkeypatch.setattr(pr, "modulus_context",
+                        lambda q, table: built.append((q, table.y)) or real(q, table))
+    code, out = run_cli(["estimate", "--variant", "T1i,T1iii", "--x-grid", "e10:e30:4",
+                         "--y-grid", "100,1000", "--q-grid", "1,6,30", "--jobs", "1"], capsys)
+    assert code == 0 and len(out.strip().splitlines()) == 1 + 2 * 4 * 2 * 3
+    assert sorted(built) == sorted(itertools.product((1, 6, 30), (100, 1000)))
+
+
+def test_context_of_each_y_reaches_its_rows(capsys):
+    # theta_q = log z_q / log y differs with y, and 7 > 5 fails P+(q) <= y at y = 5
+    cli._context.cache_clear()
+    for y in (5, 100, 1000):
+        ctx = cli._context(7, y)
+        ref = modulus_context(7, build_table(y))
+        assert (ctx.y, ctx.theta_q, ctx.p_plus_le_y) == (y, ref.theta_q, ref.p_plus_le_y)
+    for grid in ("5,100,1000", "1000,100,5"):
+        cli._context.cache_clear()
+        _, out = run_cli(["estimate", "--x", "e10", "--y-grid", grid, "--q", "7", "--jobs", "1"],
+                         capsys)
+        rows = {int(r["y"]): r for r in csv.DictReader(io.StringIO(out))}
+        assert rows[5]["status"].startswith("PreconditionError"), rows[5]["status"]
+        for y in (100, 1000):
+            table = build_table(y)
+            bud = error_budget(parse_x("e10"), table, modulus_context(7, table))
+            assert rows[y]["status"] == "ok"
+            assert rows[y]["delta_q"] == _fmt(bud.delta_q), grid
+
+
+def test_estimate_row_with_cached_beta_makes_no_phi_pass(monkeypatch):
+    # g_q alone: gamma_q' and gamma_q'' are not printed, so their phi_j pass is not made
+    spec = {"mode": "estimate", "x": 1e12, "y": 1000, "q": 6, "variant": "T1i"}
+    first = compute_row(spec)
+    assert first["status"] == "ok"
+    calls = []
+    real = sd._phi
+    monkeypatch.setattr(sd, "_phi", lambda *args: calls.append(args) or real(*args))
+    assert compute_row(spec) == first
+    assert calls == []
+
+
+def _reference_csv(rows):
+    """The CSV writer the row schema was defined by: csv.writer, _fmt per cell."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(COLUMNS)
+    for row in rows:
+        w.writerow([_fmt(row.get(c)) for c in COLUMNS])
+    return buf.getvalue()
+
+
+def _rows_of_every_mode():
+    specs = [
+        {"mode": "estimate", "x": 1e12, "y": 1000, "q": 6, "variant": "T1i"},
+        {"mode": "estimate", "x": parse_x("e40"), "y": 100, "q": 1, "variant": "UPS"},
+        {"mode": "compare", "x": parse_x("e20"), "y": 100, "q": 7, "a": 3, "variant": "T4"},
+        {"mode": "compare", "x": parse_x("e20"), "y": 100, "q": 6, "a": 2, "variant": "T4"},
+        {"mode": "count", "x": 10**6, "y": 50, "q": 6},
+        {"mode": "count", "x": parse_x("e50"), "y": 100, "q": 1},
+        {"mode": "count", "x": 10**5, "y": 50, "q": 7, "a": 3, "variant": "friable"},
+        {"mode": "chars", "x": parse_x("e30"), "y": 100, "q": 11, "char_index": 1, "c1": 0.1},
+        {"mode": "saddle", "x": parse_x("e20"), "y": 100},
+        {"mode": "saddle", "x": 10**30, "y": 10},
+    ]
+    rows = [compute_row(spec) for spec in specs]
+    blank = dict.fromkeys(COLUMNS)
+    rows += [
+        blank,
+        {**blank, "mode": "estimate", "log_x": math.nan, "budget": math.inf,
+         "rel_error": -math.inf, "beta": np.float64(0.1) / 3, "omega_q": True, "q": 2**70},
+        {**blank, "status": 'DomainError: x=1, y=2, "quoted" and\nsplit'},
+        {**blank, "status": "a\r\nb\rc"},
+        {**blank, "status": "RegimeError: \u03c8(y) \u2264 2 log x, \u00e9t\u00e9"},
+        {**blank, "variant": 'T"1', "status": ","},
+    ]
+    return rows
+
+
+def test_csv_is_the_reference_writers_bytes():
+    rows = _rows_of_every_mode()
+    assert {r["mode"] for r in rows} >= {"estimate", "compare", "count", "chars", "saddle"}
+    assert cli.rows_to_csv(rows) == _reference_csv(rows)
+    for row in rows:  # one row per call, as a streaming caller prints them
+        assert cli.rows_to_csv([row]) == _reference_csv([row])
+    assert cli.rows_to_csv([]) == _reference_csv([])
+
+
+def test_json_is_json_dumps_of_the_formatted_cells():
+    rows = _rows_of_every_mode()
+    config = {"command": "estimate", "jobs": 1}
+    payload = {
+        "meta": {"version": __version__, "config": config, "timing_seconds": 1.234568},
+        "rows": [{c: (None if row.get(c) is None else _fmt(row[c])) for c in COLUMNS}
+                 for row in rows],
+    }
+    assert cli.rows_to_json(rows, config, 1.2345678) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_import_loads_no_scipy_or_process_pool():

@@ -402,6 +402,22 @@ def test_g_q_explicit_value(table10):
     assert f.f_q == pytest.approx((1 - 1 / 2) * (1 - 1 / 3), rel=1e-13)
 
 
+def test_g_q_alone_is_the_factors_g_q(table100):
+    # s * log p on both sides of _SERIES_CUT, and below the gamma crossover
+    entries = {p: nu for p, nu, _ in table100.entries}
+    for q in (1, 2, 6, 30, 210):
+        ctx = modulus_context(q, table100)
+        for s in (1e-8, 0.01, sd._SERIES_CUT / math.log(2), 0.3, 1.0, 3.0):
+            g = sd.g_q(s, ctx, table100)
+            assert g == arithmetic_factors(s, ctx, table100).g_q
+            with mp.workdps(30):
+                expect = mp.fprod((1 - mp.power(p, -s)) / (1 - mp.power(p, -(entries[p] + 1) * s))
+                                  for p in ctx.prime_divisors)
+            assert abs(g - float(expect)) <= 1e-13 * g, (q, s)
+    with pytest.raises(DomainError):
+        sd.g_q(0.0, modulus_context(6, table100), table100)
+
+
 def test_g_q_range_and_gamma_signs(table100):
     for q in (2, 6, 30, 210):
         ctx = modulus_context(q, table100)
