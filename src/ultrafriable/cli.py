@@ -23,7 +23,6 @@ import os
 import re
 import sys
 import time
-from functools import lru_cache
 
 from . import __version__
 from . import calibration as cal
@@ -84,6 +83,8 @@ def parse_grid(text: str) -> list:
             raise ValueError("grid needs n >= 1")
         if n == 1:
             return [lo]
+        if min(lo, hi) <= 0:
+            raise ValueError(f"grid {text} is log-spaced: lo and hi must be > 0")
         llo, lhi = math.log(lo), math.log(hi)
         inner = [math.exp(llo + i * (lhi - llo) / (n - 1)) for i in range(1, n - 1)]
         return [lo, *inner, hi]
@@ -153,7 +154,7 @@ def _dispatch(spec: dict, row: dict):
             table = pr.build_table(y)
             row["regime"] = pr.classify_regime(max(x, 2.0), table).kind
             if a is None:
-                n = ct.count_ultrafriable(x, table, _context(q, y))
+                n = ct.count_ultrafriable(x, table, pr.modulus_context(q, table))
             else:
                 n = ct.count_ultrafriable_residues(x, table, q)[a]
         row["exact_value_or_log"] = _fmt_count(n)
@@ -189,7 +190,8 @@ def _dispatch(spec: dict, row: dict):
         )
         if x is not None and y is not None and not chi.is_principal:
             table = pr.build_table(y)
-            diag = es.t3_bound(x, table, _context(q, y), chi, c1=spec.get("c1", es.DEFAULT_C1))
+            diag = es.t3_bound(x, table, pr.modulus_context(q, table), chi,
+                               c1=spec.get("c1", es.DEFAULT_C1))
             row["exact_value_or_log"] = _fmt(diag.exact_ratio)
             row["budget"] = diag.bound_theta1
             row["error_over_budget"] = diag.exact_ratio / diag.bound_theta1
@@ -198,7 +200,7 @@ def _dispatch(spec: dict, row: dict):
         return
 
     table = pr.build_table(y)
-    ctx = _context(q, y)
+    ctx = pr.modulus_context(q, table)
 
     if mode in ("estimate", "compare"):
         variant = spec.get("variant") or "T1i"
@@ -214,13 +216,6 @@ def _dispatch(spec: dict, row: dict):
         return
 
     raise ValueError(f"unknown mode {mode!r}")
-
-
-# x is the outermost grid axis, so each x point revisits every (q, y) pair of the grid
-@lru_cache(maxsize=256)
-def _context(q: int, y: int) -> pr.ModulusContext:
-    """The modulus context of (q, y), factored once for all the rows that share it."""
-    return pr.modulus_context(q, pr.build_table(y))
 
 
 # ---------------------------------------------------------------------------

@@ -350,19 +350,18 @@ def estimate_noncoprime(x: float, table: pr.PrimePowerTable, q: int, a: int,
     domain).
     """
     d = math.gcd(a, q)
-    dfac = pr.factorize(d)
-    if any(e > 1 for e in dfac.values()):
+    ctx_d = pr.modulus_context(d, table)
+    if math.prod(ctx_d.prime_divisors) != d:
         raise UnsupportedCaseError(f"d=(a,q)={d} is not squarefree; case not treated")
     if math.gcd(q // d, d) != 1:
         raise UnsupportedCaseError(f"(q/d, d) = {math.gcd(q // d, d)} > 1; case not treated")
-    if any(p > table.y for p in dfac) or d > x:
+    if not ctx_d.p_plus_le_y or d > x:
         raise UnsupportedCaseError(f"d={d} is not a y-ultrafriable integer <= x")
     # an integer x is divided exactly: x / d overflows a float past 1.8e308
     bud = _budget("R6", x // d if isinstance(x, int) else x / d, table,
                   pr.modulus_context(q, table), c1)
     res = sd.beta_cached(math.log(x) - math.log(d), table.y)
     beta = res.sigma
-    ctx_d = pr.modulus_context(d, table)
     h_d = sd.arithmetic_factors(beta, ctx_d, table, d=d).h_d
     ctx_qd = pr.modulus_context(q // d, table)
     ups = ct.count_ultrafriable(ct._floor_bound(x) // d, table, ctx_qd)

@@ -162,7 +162,8 @@ def euler_phi_from_factors(q: int, primes) -> int:
 
 @dataclass(frozen=True)
 class ModulusContext:
-    """A modulus q in factored form, tied to a prime-power table for y.
+    """A modulus q in factored form, tied to a prime-power table for y; one
+    context of (q, y) is cached and shared by every caller (``modulus_context``).
 
     ``z_q`` is the omega(q)-th prime (2 when q = 1) and ``theta_q`` its log
     measured against log y; both feed the error budgets.  ``p_plus_le_y``
@@ -189,23 +190,27 @@ class ModulusContext:
 
 
 def modulus_context(q: int, table: PrimePowerTable) -> ModulusContext:
-    """Factor q and package the derived quantities used downstream."""
-    fac = factorize(q)
-    pdivs = tuple(sorted(fac))
+    """The context of (q, table.y): q factored with its derived quantities, made
+    once per (q, y) and shared by every caller; the last 256 are cached."""
+    return _modulus_context(q, table.y)
+
+
+@lru_cache(maxsize=256)  # every table is build_table(y), so y alone keys it
+def _modulus_context(q: int, y: int) -> ModulusContext:
+    pdivs = tuple(sorted(factorize(q)))
     omega = len(pdivs)
     phi = euler_phi_from_factors(q, pdivs)
     z_q = nth_prime(omega)
-    nu_divs = tuple(table.nu_of(p) for p in pdivs)
     return ModulusContext(
         q=q,
-        y=table.y,
+        y=y,
         prime_divisors=pdivs,
-        nu_divisors=nu_divs,
+        nu_divisors=tuple(map(build_table(y).nu_of, pdivs)),
         omega_q=omega,
         phi_q=phi,
         z_q=z_q,
-        theta_q=math.log(z_q) / math.log(table.y),
-        p_plus_le_y=(not pdivs) or pdivs[-1] <= table.y,
+        theta_q=math.log(z_q) / math.log(y),
+        p_plus_le_y=(not pdivs) or pdivs[-1] <= y,
     )
 
 

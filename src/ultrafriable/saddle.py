@@ -499,13 +499,12 @@ def arithmetic_factors(s: float, ctx: pr.ModulusContext, table: pr.PrimePowerTab
             g2 = -g2
     h = None
     if d is not None:
-        dfac = pr.factorize(d)
-        if any(e > 1 for e in dfac.values()):
+        ctx_d = pr.modulus_context(d, table)
+        if math.prod(ctx_d.prime_divisors) != d:
             raise DomainError(f"h_d needs squarefree d, got d={d}")
-        dp = np.array(sorted(dfac), dtype=np.float64)
-        dnu = np.array([table.nu_of(int(p)) for p in sorted(dfac)], dtype=np.float64)
-        if np.any(dnu == 0):
+        if not ctx_d.p_plus_le_y:
             raise DomainError(f"h_d needs P+(d) <= y, got d={d}, y={table.y}")
-        t = np.log(dp)
+        dnu = np.array(ctx_d.nu_divisors, dtype=np.float64)
+        t = np.log(np.array(ctx_d.prime_divisors, dtype=np.float64))
         h = float(np.prod(np.expm1(-dnu * s * t) / np.expm1(-(dnu + 1.0) * s * t)))
     return ArithmeticFactors(s=s, g_q=g, f_q=f, gamma1_q=g1, gamma2_q=g2, h_d=h)

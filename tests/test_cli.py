@@ -376,39 +376,62 @@ def test_chars_bad_modulus_exit_2(capsys):
         assert len(lines) == 1 and err in lines[0]
 
 
-def test_chars_builds_one_modulus_context(capsys, monkeypatch):
+def _contexts_built(args, capsys) -> tuple[int, str]:
+    """The contexts a --jobs 1 run builds from a cold context cache, and its output."""
+    pr._modulus_context.cache_clear()
+    code, out = run_cli(args + ["--jobs", "1"], capsys)
+    assert code == 0
+    return pr._modulus_context.cache_info().misses, out
+
+
+def test_chars_builds_one_modulus_context(capsys):
     # the phi(q) rows of a chars run share the context of (q, y)
-    cli._context.cache_clear()
-    built = []
-    real = pr.modulus_context
-    monkeypatch.setattr(pr, "modulus_context", lambda q, table: built.append(q) or real(q, table))
-    code, out = run_cli(["chars", "--q", "11", "--x", "e30", "--y", "100", "--jobs", "1"], capsys)
-    assert code == 0 and len(out.strip().splitlines()) == 1 + 10
-    assert built == [11]
+    built, out = _contexts_built(["chars", "--q", "11", "--x", "e30", "--y", "100"], capsys)
+    assert len(out.strip().splitlines()) == 1 + 10
+    assert built == 1
 
 
-def test_estimate_grid_builds_one_context_per_q_and_y(capsys, monkeypatch):
+def test_estimate_grid_builds_one_context_per_q_and_y(capsys):
     # x is the outermost axis, so each (y, q) pair recurs once per x point
-    cli._context.cache_clear()
-    built = []
-    real = pr.modulus_context
-    monkeypatch.setattr(pr, "modulus_context",
-                        lambda q, table: built.append((q, table.y)) or real(q, table))
-    code, out = run_cli(["estimate", "--variant", "T1i,T1iii", "--x-grid", "e10:e30:4",
-                         "--y-grid", "100,1000", "--q-grid", "1,6,30", "--jobs", "1"], capsys)
-    assert code == 0 and len(out.strip().splitlines()) == 1 + 2 * 4 * 2 * 3
-    assert sorted(built) == sorted(itertools.product((1, 6, 30), (100, 1000)))
+    built, out = _contexts_built(["estimate", "--variant", "T1i,T1iii", "--x-grid", "e10:e30:4",
+                                  "--y-grid", "100,1000", "--q-grid", "1,6,30"], capsys)
+    assert len(out.strip().splitlines()) == 1 + 2 * 4 * 2 * 3
+    assert built == 6
+
+
+def test_ups_and_t2_rows_share_the_contexts_of_the_grid(capsys):
+    # a UPS row reads the context of (1, y), a T2 row that of (q, y): each is built once
+    args = ["estimate", "--variant", "UPS,T2", "--x-grid", "e10:e40:5",
+            "--y-grid", "1000,3000", "--q-grid", "6,30"]
+    built, out = _contexts_built(args, capsys)
+    assert built == 2 * 2 + 2
+    assert "ok" in {r["status"] for r in csv.DictReader(io.StringIO(out))}
+    assert run_cli(args + ["--jobs", "1"], capsys)[1] == out
+    assert pr._modulus_context.cache_info().misses == built  # the second run builds none
+
+
+def test_r6_grid_builds_each_context_of_q_d_and_q_over_d_once(capsys):
+    qs, as_, ys = (6, 30, 210), (0, 2, 3, 6, 10, 15), (50, 100)
+    built, out = _contexts_built(["compare", "--variant", "R6", "--x-grid", "e10:e15:2",
+                                  "--y-grid", "50,100", "--q-grid", "6,30,210",
+                                  "--a-grid", "0,2,3,6,10,15"], capsys)
+    assert {r["status"] for r in csv.DictReader(io.StringIO(out))} == {"ok"}
+    expect = {(m, y) for q in qs for a in as_ for d in [math.gcd(a, q)]
+              for m in (q, d, q // d) for y in ys}
+    assert built == len(expect)
+    for key in expect:  # each one is cached: none is built again
+        pr._modulus_context(*key)
+    assert pr._modulus_context.cache_info().misses == built
 
 
 def test_context_of_each_y_reaches_its_rows(capsys):
     # theta_q = log z_q / log y differs with y, and 7 > 5 fails P+(q) <= y at y = 5
-    cli._context.cache_clear()
+    pr._modulus_context.cache_clear()
     for y in (5, 100, 1000):
-        ctx = cli._context(7, y)
-        ref = modulus_context(7, build_table(y))
-        assert (ctx.y, ctx.theta_q, ctx.p_plus_le_y) == (y, ref.theta_q, ref.p_plus_le_y)
+        ctx = modulus_context(7, build_table(y))  # z_q = 2, the omega(7) = 1st prime
+        assert (ctx.y, ctx.theta_q, ctx.p_plus_le_y) == (y, math.log(2) / math.log(y), y >= 7)
     for grid in ("5,100,1000", "1000,100,5"):
-        cli._context.cache_clear()
+        pr._modulus_context.cache_clear()
         _, out = run_cli(["estimate", "--x", "e10", "--y-grid", grid, "--q", "7", "--jobs", "1"],
                          capsys)
         rows = {int(r["y"]): r for r in csv.DictReader(io.StringIO(out))}
@@ -603,10 +626,24 @@ def test_count_past_n_prints_log10_of_tau(capsys):
 def test_grid_of_one_point_and_of_none(capsys):
     code, out = run_cli(["count", "--x-grid", "e20:e20:1", "--y", "100"], capsys)
     assert code == 0 and len(out.strip().splitlines()) == 1 + 1
+    assert parse_grid("0:10:1") == [0] and parse_grid("-5:10:1") == [-5]  # no log is taken
     code = main(["count", "--x-grid", "1:10:0", "--y", "100"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "grid needs n >= 1" in captured.err
+
+
+@pytest.mark.parametrize("axis, grid", [
+    ("--x-grid", "0:10:3"), ("--x-grid", "-5:10:2"), ("--y-grid", "0:10:3"),
+    ("--q-grid", "0:6:3"), ("--a-grid", "0:6:3"), ("--a-grid", "6:-1:2"),
+])
+def test_log_spaced_grid_with_an_endpoint_at_most_0_is_a_usage_error(capsys, axis, grid):
+    point = [] if axis == "--x-grid" else ["--x", "1000"]
+    point += [] if axis == "--y-grid" else ["--y", "10"]
+    code = main(["count", *point, f"{axis}={grid}"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"count: grid {grid} is log-spaced: lo and hi must be > 0\n"
 
 
 def test_integer_axis_grid_points_stay_exact(capsys):

@@ -264,12 +264,26 @@ def test_noncoprime_d1_reduces_to_t4(table100):
     assert a.log_main == pytest.approx(b.log_main, rel=1e-13)
 
 
-def test_noncoprime_unsupported_cases(table100):
+def test_noncoprime_unsupported_cases(table100, table50):
     x = math.exp(30)
-    with pytest.raises(UnsupportedCaseError):
-        estimate_noncoprime(x, table100, 8, 4)  # d = 4 not squarefree
-    with pytest.raises(UnsupportedCaseError):
-        estimate_noncoprime(x, table100, 12, 2)  # gcd(q/d, d) = 2
+    with pytest.raises(UnsupportedCaseError,
+                       match=r"^d=\(a,q\)=4 is not squarefree; case not treated$"):
+        estimate_noncoprime(x, table100, 8, 4)
+    with pytest.raises(UnsupportedCaseError, match=r"^\(q/d, d\) = 2 > 1; case not treated$"):
+        estimate_noncoprime(x, table100, 12, 2)
+    with pytest.raises(UnsupportedCaseError, match=r"^d=53 is not a y-ultrafriable integer <= x$"):
+        estimate_noncoprime(x, table50, 106, 53)  # P+(d) = 53 > y = 50
+    with pytest.raises(UnsupportedCaseError, match=r"^d=30 is not a y-ultrafriable integer <= x$"):
+        estimate_noncoprime(20, table50, 30, 0)  # d = 30 > x
+
+
+@pytest.mark.parametrize("q, a", [(6, 2), (30, 15), (210, 0)])
+def test_noncoprime_h_d_is_the_product_over_the_primes_of_d(table100, q, a):
+    est = estimate_noncoprime(math.exp(30), table100, q, a)
+    beta, d = est.beta, math.gcd(a, q)
+    nu = {p: table100.nu_of(p) for p in (2, 3, 5, 7) if d % p == 0}
+    want = math.prod((1 - p ** (-n * beta)) / (1 - p ** (-(n + 1) * beta)) for p, n in nu.items())
+    assert est.factors["h_d"] == pytest.approx(want, rel=1e-12)
 
 
 def test_noncoprime_value(table50):

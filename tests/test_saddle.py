@@ -453,8 +453,23 @@ def test_h_d(table10):
     f = arithmetic_factors(1.0, ctx, table10, d=6)
     expect = ((1 - 2.0**-3) / (1 - 2.0**-4)) * ((1 - 3.0**-2) / (1 - 3.0**-3))
     assert f.h_d == pytest.approx(expect, rel=1e-13)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^h_d needs squarefree d, got d=4$"):
         arithmetic_factors(1.0, modulus_context(4, table10), table10, d=4)
+    with pytest.raises(DomainError, match=r"^h_d needs P\+\(d\) <= y, got d=11, y=10$"):
+        arithmetic_factors(1.0, modulus_context(1, table10), table10, d=11)
+
+
+@pytest.mark.parametrize("d", [1, 2, 6, 30, 210])
+def test_h_d_is_the_product_over_the_primes_of_d(table100, d):
+    # the product over p | d of (1 - p^(-nu_p s)) / (1 - p^(-(nu_p+1) s)), nu_p read from
+    # the table; W = (nu_p+1) s log p runs from 0.005 to 12, across the series cut 0.5
+    primes = [p for p in (2, 3, 5, 7) if d % p == 0]
+    dnu = np.array([table100.nu_of(p) for p in primes], dtype=np.float64)
+    t = np.log(np.array(primes, dtype=np.float64))
+    ctx = modulus_context(210, table100)
+    for s in (1e-3, 0.01, 0.1, 0.5, 1.0, 2.0):
+        want = float(np.prod(np.expm1(-dnu * s * t) / np.expm1(-(dnu + 1.0) * s * t)))
+        assert arithmetic_factors(s, ctx, table100, d=d).h_d == want, (d, s)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ ROOT = Path(__file__).resolve().parent.parent
 COUNTING = "src/ultrafriable/counting.py"
 PRIMES = "src/ultrafriable/primes.py"
 SADDLE = "src/ultrafriable/saddle.py"
-CLI = "src/ultrafriable/cli.py"
 COUNTING_TESTS = ("tests/test_counting.py",)
 TIMEOUT_S = 300  # per pytest run
 
@@ -64,12 +63,17 @@ MUTANTS = (
     # g_q(s) = prod (1 - p^-s) / (1 - p^-(nu_p+1)s), a factor in (0, 1]
     ("g_q quotient inverted", SADDLE,
      "np.prod(em[:n] / em[n:])", "np.prod(em[n:] / em[:n])", ("tests/test_saddle.py",)),
-    # the rows of (q, y) read the context of that y: a cache keyed on q alone
-    # hands every y the context of the first y it saw
-    ("row context keyed on q alone", CLI,
-     "    return pr.modulus_context(q, pr.build_table(y))\n",
-     "    return pr.modulus_context(q, pr.build_table(_FIRST_Y.setdefault(q, y)))\n\n\n"
+    # a context carries its own y: a cache keyed on q alone hands every y
+    # the context of the first y it saw
+    ("row context keyed on q alone", PRIMES,
+     "    return _modulus_context(q, table.y)\n",
+     "    return _modulus_context(q, _FIRST_Y.setdefault(q, table.y))\n\n\n"
      "_FIRST_Y: dict = {}\n", ("tests/test_cli.py",)),
+    # h_d(s) = prod_{p | d} (1 - p^(-nu_p s)) / (1 - p^(-(nu_p+1) s))
+    ("h_d exponent off by one", SADDLE,
+     "dnu = np.array(ctx_d.nu_divisors, dtype=np.float64)",
+     "dnu = np.array(ctx_d.nu_divisors, dtype=np.float64) + 1.0",
+     ("tests/test_saddle.py", "tests/test_estimators.py")),
 )
 
 
