@@ -5,10 +5,10 @@ is one split at sqrt(x) (Buchstab's identity).  A prime p > sqrt(x) divides
 n <= x at most once, and then n = p * m with m <= x // p < sqrt(x) < p, so m
 is y-ultrafriable and y-friable.  The count is the divisors <= x of head rows
 over p <= sqrt(x), plus the tail p * m over the primes sqrt(x) < p <= y: the
-m coprime to q by inclusion-exclusion over rad(q), or per class mod q the
-pairs of the tail primes with 1..isqrt(x).  The kinds differ in the head
-only, and one builder (``_head_and_tail``) makes both from the prime
-table's arrays.  The y-ultrafriable n coprime to q are the divisors of
+pairs of the tail primes with the m in 1..isqrt(x) that are coprime to q,
+per class mod q; a plain count is the one class mod 1.  The kinds differ
+in the head only, and one builder (``_head_and_tail``) makes both from the
+prime table's arrays.  The y-ultrafriable n coprime to q are the divisors of
 N = prod p^nu_p over p <= y, p ∤ q: their head is the prefix of these rows
 over p <= sqrt(x), or the cached engine of all of them when y <= sqrt(x).
 A y-friable head is the rows (p, nu_p(x)), p^nu_p(x) <= x < p^(nu_p(x)+1).
@@ -21,17 +21,19 @@ bounds 1 <= X < 2^63:
 
 * the rows are dealt to two interleaved halves, and each half's divisors
   <= X are listed as a sorted int64 array A or B;
-* every pair a * b <= X has a <= sqrt(X) or b <= sqrt(X), so only the list
-  entries up to sqrt(X) are searched;
-* plain count, q = 1 -- ``searchsorted(B, X // a)`` summed over a <= sqrt(X),
-  and the same with the lists swapped, minus the pairs counted twice;
-* class count -- the entries v up to sqrt(X) of one list are taken largest
-  first, so their bounds X // v ascend and each pairs v with a longer
-  prefix of the other list; one prefix sweep over blocks of (bound, class)
-  cells counts each prefix per class r (a ``bincount`` and a cumsum per
-  block) and folds the counts into class r * v mod q; when there are no
-  more pairs than cells (or than ``_DIRECT_PAIRS`` per class), the
-  products are listed and binned instead.
+* every pair a * b <= X has a <= sqrt(X) or b <= sqrt(X), so the pairs are
+  split once (``_pair_sides``) into two disjoint sides: each a <= sqrt(X)
+  with the prefix of B that ``searchsorted(B, X // a)`` cuts, and each
+  b <= sqrt(X) with the prefix of the entries of A above sqrt(X); only the
+  entries up to sqrt(X) are searched, and every pair count, class count,
+  product list and binning reads these two sides;
+* plain count, q = 1 -- the sum of the two sides' prefix lengths;
+* class count -- the entries v of a side are taken largest first, so their
+  bounds X // v ascend and each pairs v with a longer prefix; one prefix
+  sweep over blocks of (bound, class) cells counts each prefix per class r
+  (a ``bincount`` and a cumsum per block) and folds the counts into class
+  r * v mod q; when there are no more pairs than cells (or than
+  ``_DIRECT_PAIRS`` per class), the products are listed and binned instead.
 
 A half's list is built from its own two halves in the same way, down to
 leaf rows with at most ``_DIRECT_TAU`` divisors.  A leaf's divisors below
@@ -155,76 +157,74 @@ def _divisors_le(rows, X: int) -> np.ndarray:
     return _pair_products(*_halves(rows, X), X)
 
 
-def _product_blocks(A: np.ndarray, B: np.ndarray, counts: np.ndarray):
-    """a * B[:counts[i]] for each a = A[i], about _BLOCK products per block."""
-    ends = np.cumsum(counts)
-    i = pos = 0
-    while pos < ends[-1]:
-        j = max(i + 1, int(np.searchsorted(ends, pos + _BLOCK, "right")))
-        end = int(ends[j - 1])
-        c = counts[i:j]
-        offset = np.arange(end - pos) - np.repeat(ends[i:j] - c - pos, c)
-        yield B[offset] * np.repeat(A[i:j], c)
-        i, pos = j, end
+def _pair_sides(A: np.ndarray, B: np.ndarray, X: int) -> tuple:
+    """The pairs a * b <= X over a in A, b in B (sorted lists), split at s = isqrt(X).
+
+    Two disjoint sides (V, P, ends): each a <= s pairs with the prefix
+    B[:ends], and each b <= s with the prefix of the entries of A above s.
+    A pair has a <= s or b <= s, so each lies on exactly one side and the
+    count is the sum of the ends; only the entries up to sqrt(X) are
+    searched, a small share of lists that run up to X.
+    """
+    s = math.isqrt(X)
+    k = int(A.searchsorted(s, "right"))
+    a_small, b_small, a_large = A[:k], B[:B.searchsorted(s, "right")], A[k:]
+    return ((a_small, B, B.searchsorted(X // a_small, "right")),
+            (b_small, a_large, a_large.searchsorted(X // b_small, "right")))
+
+
+def _product_blocks(sides):
+    """v * P[:end] over each side's v and end, about _BLOCK products per block."""
+    for V, P, ends in sides:
+        if not len(V):  # a tail has no entry <= sqrt(X)
+            continue
+        total = np.cumsum(ends)
+        i = pos = 0
+        while pos < total[-1]:
+            j = max(i + 1, int(total.searchsorted(pos + _BLOCK, "right")))
+            end = int(total[j - 1])
+            c = ends[i:j]
+            offset = np.arange(end - pos) - np.repeat(total[i:j] - c - pos, c)
+            yield P[offset] * np.repeat(V[i:j], c)
+            i, pos = j, end
 
 
 def _pair_products(A: np.ndarray, B: np.ndarray, X: int) -> np.ndarray:
     """Sorted products a * b <= X over a in A, b in B (sorted lists)."""
-    counts = np.searchsorted(B, X // A, "right")
-    total = int(counts.sum())
+    sides = _pair_sides(A, B, X)
+    total = sum(int(ends.sum()) for _, _, ends in sides)
     if total > LIST_CAP:
         raise ResourceError(f"a divisor list of {total} entries exceeds the cap {LIST_CAP}")
     out = np.empty(total, dtype=np.int64)
     pos = 0
-    for block in _product_blocks(A, B, counts):
+    for block in _product_blocks(sides):
         out[pos:pos + len(block)] = block
         pos += len(block)
     out.sort()
     return out
 
 
-def _small_parts(A: np.ndarray, B: np.ndarray, X: int):
-    """(s, A <= s, B <= s) for s = isqrt(X).
+def _class_pairs(V: np.ndarray, P: np.ndarray, ends: np.ndarray, q: int) -> np.ndarray:
+    """Pairs v * u over v in V and u in P[:end] (one side), by class mod q.
 
-    A pair a * b <= X has a <= s or b <= s, so the pairs are those with
-    a <= s and any b, and those with b <= s and a > s: only the entries up
-    to sqrt(X) are searched, a small share of lists that run up to X.
+    One prefix sweep: V is walked from its largest entry, so the ends ascend
+    and row j pairs v_j with the prefix P[:ends[j]].  The (row, class) cells
+    are cut into blocks of about ``_CELLS`` (16 rows at least), each over a
+    contiguous slice of P.  In a block, one ``bincount`` of row * q + u mod q
+    gives the entries new to each row; a cumsum down the rows, after the
+    last row of the block before, gives C[j, r] = #{u in P[:ends[j]] : u ≡ r};
+    one more ``bincount`` folds C[j, r] into class (v_j mod q) * r.  That
+    fold sums the integers C in float64, exact as every sum is at most
+    len(P) * len(V) <= LIST_CAP^2 = 2^50 < 2^53.
     """
-    s = math.isqrt(X)
-    return s, A[:np.searchsorted(A, s, "right")], B[:np.searchsorted(B, s, "right")]
-
-
-def _count_pairs(A: np.ndarray, B: np.ndarray, X: int) -> int:
-    """Number of pairs a * b <= X over a in A, b in B (sorted lists)."""
-    s, a_small, b_small = _small_parts(A, B, X)
-    return (int(np.searchsorted(B, X // a_small, "right").sum())
-            + int(np.searchsorted(A, X // b_small, "right").sum()) - len(a_small) * len(b_small))
-
-
-def _class_pairs(P: np.ndarray, Q: np.ndarray, X: int, q: int, floor: int = 0) -> np.ndarray:
-    """Pairs u * v <= X over u in P with u > floor and v in Q, by class mod q.
-
-    One prefix sweep: Q is walked from its largest entry, so the bounds
-    X // v ascend and row j pairs v_j with the prefix P[:ends[j]].  The
-    (row, class) cells are cut into blocks of about ``_CELLS`` (16 rows at
-    least), each over a contiguous slice of P.  In a block, one ``bincount``
-    of row * q + u mod q gives the entries new to each row; a cumsum down the
-    rows, after the last row of the block before, gives
-    C[j, r] = #{u in P[:ends[j]] : u ≡ r}; one more ``bincount`` folds
-    C[j, r] into class (v_j mod q) * r.  That fold sums the integers C in
-    float64, exact as every sum is at most len(P) * len(Q) <= LIST_CAP^2 =
-    2^50 < 2^53.
-    """
-    P = P[P.searchsorted(floor, "right"):]
-    Q = Q[::-1]
-    assert len(P) * len(Q) < 1 << 53
-    ends = P.searchsorted(X // Q, "right")
+    V, ends = V[::-1], ends[::-1]
+    assert len(P) * len(V) < 1 << 53
     classes = np.arange(q)
     out = np.zeros(q, dtype=np.int64)
     carry = np.zeros(q, dtype=np.int64)
     step = max(16, _CELLS // q)  # rows per block; 16 or more keep a block's numpy calls few
     lo = 0
-    for j in range(int(ends.searchsorted(0, "right")), len(Q), step):  # rows with no u add nothing
+    for j in range(int(ends.searchsorted(0, "right")), len(V), step):  # rows with no u add nothing
         e = ends[j:j + step]
         hi = int(e[-1])
         C = np.zeros(len(e) * q, dtype=np.int64)
@@ -237,7 +237,7 @@ def _class_pairs(P: np.ndarray, Q: np.ndarray, X: int, q: int, floor: int = 0) -
         C[0] += carry
         C.cumsum(axis=0, out=C)
         carry, lo = C[-1], hi
-        folded = (Q[j:j + step] % q)[:, None] * classes
+        folded = (V[j:j + step] % q)[:, None] * classes
         folded -= folded // q * q  # the remainder mod q; // by a scalar is the faster op
         out += np.bincount(folded.ravel(), weights=C.ravel(), minlength=q).astype(np.int64)
     return out
@@ -246,23 +246,21 @@ def _class_pairs(P: np.ndarray, Q: np.ndarray, X: int, q: int, floor: int = 0) -
 def _residue_pairs(A: np.ndarray, B: np.ndarray, X: int, q: int) -> np.ndarray:
     """Pairs a * b <= X over a in A, b in B (sorted lists), by a * b mod q.
 
-    The pairs with a <= sqrt(X) are one prefix sweep of B by A <= sqrt(X),
-    those with b <= sqrt(X) < a one of A > sqrt(X) by B <= sqrt(X): the two
-    sweeps fill (len(A <= sqrt(X)) + len(B <= sqrt(X))) * q cells.  When
-    there are no more pairs than max(``_DIRECT_PAIRS``, that length) * q,
-    that is fewer pairs than cells, or so few that the sweep's fixed cost of
-    some dozen numpy calls a block would dominate, the products are listed
-    and binned instead.  At q = 1 the count of ``_count_pairs`` is the answer.
+    The two sides of ``_pair_sides`` are one prefix sweep each, and fill
+    (len(A <= sqrt(X)) + len(B <= sqrt(X))) * q cells.  When there are no
+    more pairs than max(``_DIRECT_PAIRS``, that length) * q, that is fewer
+    pairs than cells, or so few that the sweep's fixed cost of some dozen
+    numpy calls a block would dominate, the products are listed and binned
+    instead.  At q = 1 the answer is the sum of the ends.
     """
-    pairs = _count_pairs(A, B, X)
+    sides = _pair_sides(A, B, X)
+    pairs = sum(int(ends.sum()) for _, _, ends in sides)
     if q == 1:
         return np.array([pairs])
-    if pairs > _DIRECT_PAIRS * q:
-        s, a_small, b_small = _small_parts(A, B, X)
-        if pairs > (len(a_small) + len(b_small)) * q:
-            return _class_pairs(B, a_small, X, q) + _class_pairs(A, b_small, X, q, floor=s)
+    if pairs > _DIRECT_PAIRS * q and pairs > sum(len(V) for V, _, _ in sides) * q:
+        return sum(_class_pairs(*side, q) for side in sides)
     out = np.zeros(q, dtype=np.int64)
-    for block in _product_blocks(A, B, np.searchsorted(B, X // A, "right")):
+    for block in _product_blocks(sides):
         out += np.bincount(block % q, minlength=q)
     return out
 
@@ -450,13 +448,12 @@ def get_residue_counter(table: pr.PrimePowerTable, q: int) -> ResidueDivisorCoun
 # p <= sqrt(X), plus Buchstab's tail p * m over the primes sqrt(X) < p <= y
 # ---------------------------------------------------------------------------
 
-def _coprime_upto(M, q_primes):
-    """#{1 <= m <= M : (m, q) = 1} elementwise, by inclusion-exclusion over
-    the squarefree d | rad(q) up to max(M), the only d with M // d nonzero."""
-    top = int(np.max(M, initial=0))
+def _coprime_upto(M: int, q_primes) -> int:
+    """#{1 <= m <= M : (m, q) = 1}, by inclusion-exclusion over the
+    squarefree d | rad(q) up to M, the only d with M // d nonzero."""
     terms = [(1, 1)]
     for p in q_primes:
-        terms += [(-sign, d * p) for sign, d in terms if d * p <= top]
+        terms += [(-sign, d * p) for sign, d in terms if d * p <= M]
     return sum(sign * (M // d) for sign, d in terms)
 
 
@@ -483,26 +480,26 @@ def _head_and_tail(X: int, y: int, q_primes: tuple, kind: str):
     return _DivisorRows(_coprime_rows(p, nu, q_primes)), tail
 
 
-def _plain(head: _DivisorRows, tail: np.ndarray, X: int, q_primes) -> int:
-    """The divisors <= X of the head rows, plus the p * m <= X over tail primes p
-    and m coprime to q: every such m < sqrt(X) < p is friable and ultrafriable."""
-    count = head.count_le(X)
+def _counts(X: int, y: int, q: int, q_primes: tuple, kind: str) -> tuple[int, ...]:
+    """The y-ultrafriable or y-friable n <= X coprime to q_primes, per class mod q:
+    the divisors <= X of the head rows, plus the pairs p * m <= X of the tail
+    primes p with the m <= isqrt(X) coprime to q_primes.  Every such
+    m < sqrt(X) < p is friable and ultrafriable."""
+    head, tail = _head_and_tail(X, y, q_primes, kind)
+    vec = head.classes_le(X, q)
     if len(tail):
-        count += int(_coprime_upto(X // tail, q_primes).sum())
-    return count
+        m = np.arange(1, math.isqrt(X) + 1)
+        for p in q_primes:
+            m = m[m % p != 0]
+        vec = tuple(c + t for c, t in zip(vec, _residue_pairs(tail, m, X, q).tolist()))
+    return vec
 
 
 @lru_cache(maxsize=128)
 def _class_vector(X: int, y: int, q: int, kind: str) -> ResidueCounts:
-    """The y-ultrafriable or y-friable n <= X per class mod q, once per (X, y, q, kind);
-    the tail adds its pairs p * m <= X with m <= isqrt(X) per class."""
+    """The y-ultrafriable or y-friable n <= X per class mod q, once per (X, y, q, kind)."""
     _check_modulus(q)
-    head, tail = _head_and_tail(X, y, (), kind)
-    vec = head.classes_le(X, q)
-    if len(tail):
-        pairs = _residue_pairs(tail, np.arange(1, math.isqrt(X) + 1), X, q)
-        vec = tuple(c + t for c, t in zip(vec, pairs.tolist()))
-    return ResidueCounts(q, vec)
+    return ResidueCounts(q, _counts(X, y, q, (), kind))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +516,7 @@ def count_ultrafriable(x, table: pr.PrimePowerTable, ctx: pr.ModulusContext | No
     q_primes = () if ctx is None else ctx.prime_divisors
     if ctx is not None:
         ctx.require_p_plus_le_y()
-    return _plain(*_head_and_tail(X, table.y, q_primes, "ultrafriable"), X, q_primes)
+    return _counts(X, table.y, 1, q_primes, "ultrafriable")[0]
 
 
 def count_ultrafriable_below(num: int, table: pr.PrimePowerTable,
@@ -554,15 +551,15 @@ def count_friable(x, y: int, q: int = 1) -> int:
     """Exact number of y-friable n <= x with (n, q) = 1; needs P+(q) <= y."""
     X = _friable_bound(x)
     q_primes = tuple(sorted(pr.factorize(q)))
-    if X == 0:
-        return 0
     if q_primes and q_primes[-1] > y:
         raise PreconditionError(f"P+(q)={q_primes[-1]} exceeds y={y}")
+    if X == 0:
+        return 0
     if y < 2:
         return 1  # only n = 1 has no prime factor
     if y >= X:
         return _coprime_upto(X, q_primes)
-    return _plain(*_head_and_tail(X, y, q_primes, "friable"), X, q_primes)
+    return _counts(X, y, 1, q_primes, "friable")[0]
 
 
 def count_friable_progression(x, y: int, a: int, q: int) -> int:
@@ -572,15 +569,13 @@ def count_friable_progression(x, y: int, a: int, q: int) -> int:
     """
     X = _friable_bound(x)
     _check_modulus(q)
-    if q == 1:
-        return count_friable(X, y)
     if X == 0:
         return 0
     a %= q
     if y >= X:
         return len(range(a or q, X + 1, q))  # every n <= X: a, a + q, ... (q, 2q, ... for a = 0)
     if y < 2:
-        return int(a == 1)  # only n = 1 has no prime factor
+        return int(a == 1 % q)  # only n = 1 has no prime factor
     return _class_vector(X, y, q, "friable")[a]
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,19 @@ def test_friable_count_variant(capsys):
     assert row["exact_value_or_log"] == "20"
 
 
+@pytest.mark.parametrize("kind", ["ultrafriable", "friable"])
+def test_count_rows_refuse_p_plus_q_above_y_at_every_x(capsys, kind):
+    # x = 0 included: the precondition is checked before any count
+    code, out = run_cli(["count", "--variant", kind, "--x-grid", "0,1,10", "--y", "5", "--q", "7",
+                         "--jobs", "1"], capsys)
+    assert code == 0
+    rows = [dict(zip(COLUMNS, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert [r["x"] for r in rows] == ["0", "1", "10"]
+    for r in rows:
+        assert r["status"].startswith("PreconditionError: P+(q)=7 exceeds y=5"), r
+        assert r["exact_value_or_log"] == ""
+
+
 @pytest.mark.parametrize("args", [
     ["count", "--variant", "oracle"],
     ["count", "--variant", "frieble"],

@@ -139,6 +139,16 @@ def test_friable_guards():
         count_friable(10**9 + 1, 100)
     with pytest.raises(PreconditionError):
         count_friable(1000, 10, q=11)
+    for x in (0, 1):  # checked before any count, x = 0 included
+        with pytest.raises(PreconditionError):
+            count_friable(x, 5, 7)
+
+
+@pytest.mark.parametrize("x", [0, 1, 5, 10, 100, 10**6])
+@pytest.mark.parametrize("y", [1, 2, 5, 7, 1000, 10**7])
+def test_friable_progression_mod_1_is_the_friable_count(x, y):
+    # mod 1 every n lies in the one class 0
+    assert count_friable_progression(x, y, 0, 1) == count_friable(x, y)
 
 
 def test_friable_progression_q_bound():
@@ -264,6 +274,10 @@ def test_ultrafriable_counts_with_prime_of_q_above_sqrt_x(x):
 def test_friable_y_at_least_x():
     assert count_friable(10**9, 10**9) == 10**9
     assert count_friable(999_999_990, 10**9, 30) == 999_999_990 // 30 * 8
+    # x a multiple of rad(q): d = rad(q) itself is a term of the inclusion-exclusion
+    assert count_friable(6, 6, 6) == 2  # 1, 5
+    assert count_friable(30, 100, 30) == 8
+    assert count_friable(210, 300, 210) == 48
     assert count_friable_progression(10**9, 10**9, 1, 3) == 333_333_334
     assert count_friable_progression(10**6, 10**6, 1, 3) == 333_334
     assert count_friable_progression(10**6, 10**7, 0, 3) == 333_333
@@ -743,7 +757,7 @@ def test_split_peak_is_one_groups_lists(y, lx):
         finally:
             tracemalloc.stop()
 
-    one_group = max(peak(lambda: ct._count_pairs(*ct._halves(engine.rows[:k], b), b))
+    one_group = max(peak(lambda: ct._residue_pairs(*ct._halves(engine.rows[:k], b), b, 1))
                     for k, b in tops.items())
     assert peak(lambda: engine.count_le(x)) < 1.05 * one_group
 
@@ -781,6 +795,13 @@ def _binned_pairs(P, Q, X, q, floor=0):
     return np.bincount(products[products <= X] % q, minlength=q).tolist()
 
 
+def _side(P, V, X, floor):
+    """(V, P[P > floor], ends): one side of the sweep, each v in V paired with
+    the u in P above floor and at most X // v."""
+    P = P[P > floor]
+    return V, P, P.searchsorted(X // V, "right")
+
+
 @pytest.mark.parametrize("q", [1, 2, 7, 210, 1009, 9973])
 def test_class_pairs_match_binned_products(q):
     rng = np.random.default_rng(q)
@@ -799,7 +820,7 @@ def test_class_pairs_match_binned_products(q):
             # entries of a block taken 7 or 64 at a time
             for cells, block in ((ct._CELLS, ct._BLOCK), (q, 7), (3 * q, 64)):
                 with mock.patch.object(ct, "_CELLS", cells), mock.patch.object(ct, "_BLOCK", block):
-                    got = [ct._class_pairs(p, v, X, q, floor).tolist() for p, v in cases]
+                    got = [ct._class_pairs(*_side(p, v, X, floor), q).tolist() for p, v in cases]
                 assert got == want, (X, floor, cells, block)
 
 
@@ -808,7 +829,7 @@ def test_residue_pairs_same_on_both_sides_of_the_binning_threshold(y, lx, q):
     rows = ct.get_residue_counter(build_table(y), q).rows
     X = int(math.exp(lx))
     A, B = ct._halves(rows, X)
-    pairs = ct._count_pairs(A, B, X)
+    pairs = ct._residue_pairs(A, B, X, 1)[0]
     vectors = []
     for direct, swept in ((pairs // q + 1, False), (0, True)):
         with mock.patch.object(ct, "_DIRECT_PAIRS", direct), \
@@ -817,6 +838,27 @@ def test_residue_pairs_same_on_both_sides_of_the_binning_threshold(y, lx, q):
         assert sweep.called == swept
     assert vectors[0] == vectors[1]
     assert sum(vectors[0]) == pairs
+
+
+@pytest.mark.parametrize("q", [1, 7, 210])
+def test_pair_sides_match_brute_force(q):
+    # every pair count, class count and product list reads the same two
+    # sides; a tail list has no entry <= sqrt(X), and a list may be empty
+    rng = np.random.default_rng(q)
+    empty = np.zeros(0, dtype=np.int64)
+    for _ in range(3):
+        X = int(rng.integers(10**6, 10**9))
+        s = math.isqrt(X)
+        A = np.unique(np.exp(rng.uniform(0, math.log(X), size=300)).astype(np.int64))
+        B = np.unique(np.exp(rng.uniform(0, math.log(4 * s), size=90)).astype(np.int64))
+        tail = np.unique(rng.integers(s + 1, X // 2, size=60))
+        for P, Q in ((A, B), (B, A), (tail, B), (B, tail), (A, empty), (empty, B), (tail, tail)):
+            want = _binned_pairs(P, Q, X, q)
+            products = np.multiply.outer(P, Q).ravel()
+            assert ct._pair_products(P, Q, X).tolist() == sorted(products[products <= X].tolist())
+            for direct in (0, 1 << 40):  # swept where it can be, and always binned
+                with mock.patch.object(ct, "_DIRECT_PAIRS", direct):
+                    assert ct._residue_pairs(P, Q, X, q).tolist() == want, (X, direct)
 
 
 @seed(14)

@@ -38,16 +38,21 @@ COUNTING_TESTS = ("tests/test_counting.py",)
 TIMEOUT_S = 300  # per pytest run
 
 MUTANTS = (
-    # the list entries up to sqrt(X) must include sqrt(X) itself
+    # the list entries up to sqrt(X) must include sqrt(X) itself, on both sides
     ("small parts cut left", COUNTING,
-     'A[:np.searchsorted(A, s, "right")]', 'A[:np.searchsorted(A, s, "left")]', COUNTING_TESTS),
+     'k = int(A.searchsorted(s, "right"))', 'k = int(A.searchsorted(s, "left"))', COUNTING_TESTS),
+    ("B side cut left", COUNTING,
+     'B[:B.searchsorted(s, "right")]', 'B[:B.searchsorted(s, "left")]', COUNTING_TESTS),
     # each block of the class sweep starts from the last row of the block before
     ("class sweep carry dropped", COUNTING, "        C[0] += carry\n", "", COUNTING_TESTS),
     # divisors > bound pair with divisors < N/bound, strictly
     ("reflected bound not strict", COUNTING, "(N - 1) // bound", "N // bound", COUNTING_TESTS),
-    # the squarefree d | rad(q) up to max(M), inclusive
+    # the squarefree d | rad(q) up to M, inclusive
     ("inclusion-exclusion stops below max M", COUNTING,
-     "if d * p <= top]", "if d * p < top]", COUNTING_TESTS),
+     "if d * p <= M]", "if d * p < M]", COUNTING_TESTS),
+    # the tail's m are coprime to q: a multiple of a prime of q is no such n
+    ("tail keeps multiples of the primes of q", COUNTING,
+     "m = m[m % p != 0]", "pass", COUNTING_TESTS),
     # the float floor of log(bound) / log(p) is corrected up when p^(e+1) == bound
     ("exponent upward correction strict", PRIMES,
      "e += p ** (e + 1) <= bound", "e += p ** (e + 1) < bound",
