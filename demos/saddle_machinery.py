@@ -21,6 +21,7 @@ from ultrafriable import (
     log_Z_q,
     modulus_context,
     phi1,
+    phi_j_q,
     solve_alpha,
     solve_beta,
     xi,
@@ -43,8 +44,10 @@ res = solve_beta(x, table)
 print(f"  beta      = {res.sigma:.12f}")
 print(f"  residual  = {res.residual:.2e}  (|phi_1(beta) - log x| / log x)")
 print(f"  sigma_2   = {res.sigma_j[2]:.6f}")
-print(f"  sigma_3   = {res.sigma_j[3]:.6f}")
-print(f"  sigma_4   = {res.sigma_j[4]:.6f}")
+# the solve carries sigma_2 from its last Newton step; sigma_3 and sigma_4
+# take one more pass over the primes each
+print(f"  sigma_3   = {phi_j_q(3, res.sigma, table):.6f}")
+print(f"  sigma_4   = {phi_j_q(4, res.sigma, table):.6f}")
 alpha = solve_alpha(x, 100)
 print(f"  alpha     = {alpha.sigma:.12f}  (friable analogue)")
 u = math.log(x) / math.log(100)

@@ -170,8 +170,8 @@ def _dispatch(spec: dict, row: dict):
             res = sd.solve_beta(x, table)
             row["beta"] = res.sigma
             row["sigma2"] = res.sigma_j[2]
-            row["sigma3"] = res.sigma_j[3]
-            row["sigma4"] = res.sigma_j[4]
+            row["sigma3"] = sd.phi_j_q(3, res.sigma, table)
+            row["sigma4"] = sd.phi_j_q(4, res.sigma, table)
             row["residual"] = res.residual
         if x >= y:
             row["alpha"] = sd.solve_alpha(x, y).sigma
@@ -205,7 +205,8 @@ def _dispatch(spec: dict, row: dict):
     if mode in ("estimate", "compare"):
         variant = spec.get("variant") or "T1i"
         row["variant"] = variant
-        est = es.estimate(variant, x, table, ctx, a, spec.get("c1", es.DEFAULT_C1))
+        est = es.estimate(variant, x, table, ctx, a, spec.get("c1", es.DEFAULT_C1),
+                          classes=mode == "compare")
         if mode == "compare":  # the count first: a refused count leaves the row empty
             exact = es.exact_count(variant, x, table, ctx, a)
             rec = es.compare(exact, est)

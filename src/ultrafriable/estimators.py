@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
+from typing import NamedTuple
 
 from . import counting as ct
 from . import primes as pr
@@ -80,8 +82,15 @@ def _delta_branch_large(u: float, theta: float) -> float:
     return theta * (u * l2u) ** theta / (1.0 + theta * l2u)
 
 
+# Each (x, y, q) point is evaluated once for all of its variant rows: the
+# budget cells and the main-term factors are cached per point, keyed on y and
+# q as every table is build_table(y).  2048 points hold a CLI sweep of 1,200
+# (x, y, q) points, whose variant axis (outermost) revisits every one.
+_POINTS = 2048
+
+
 def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext) -> ErrorBudget:
-    """Delta_q, D_q, C_q and friends for (x, y, q).
+    """Delta_q, D_q, C_q and friends for (x, y, q), computed once per point.
 
     The stated bound is left at nan: estimators do not attach their own, as
     ``_budget`` checks each theorem variant's domain and states its bound.
@@ -91,9 +100,16 @@ def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext) ->
     saddle domain 2 log x < psi(y) holds; the other branch's value is kept
     alongside for inspection.
     """
+    return _budget_cells(x, table.y, ctx.q)
+
+
+@lru_cache(maxsize=_POINTS)
+def _budget_cells(x: float, y: int, q: int) -> ErrorBudget:
+    table = pr.build_table(y)
+    ctx = pr.modulus_context(q, table)
     regime = pr.classify_regime(x, table)
     lx = math.log(x)
-    ly = math.log(table.y)
+    ly = math.log(y)
     u = regime.u
     eta = table.psi_y / lx - 2.0
     theta = ctx.theta_q
@@ -115,6 +131,28 @@ def error_budget(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext) ->
         cc_q=min(float(omega), delta * delta) if delta == delta else float(omega),
         regime=regime,
     )
+
+
+class MainFactors(NamedTuple):
+    """The saddle main term's factors at (log x, y, q), shared by its variants."""
+
+    beta: float
+    sigma2: float
+    log_zq: float  # log Z_q(beta, y)
+    log_g: float  # log G(beta sqrt(sigma2))
+    log_gq: float  # log g_q(beta)
+
+
+@lru_cache(maxsize=_POINTS)
+def _main_factors(log_x: float, y: int, q: int) -> MainFactors:
+    """The root and sigma_2 of (log x, y), and the modulus's factors there."""
+    table = pr.build_table(y)
+    ctx = pr.modulus_context(q, table)
+    res = sd.beta_cached(log_x, y)
+    beta, s2 = res.sigma, res.sigma_j[2]
+    return MainFactors(beta, s2, sd.log_Z_q(beta, table, ctx),
+                       math.log(sd.gaussian_G(beta * math.sqrt(s2))),
+                       math.log(sd.g_q(beta, ctx, table)))
 
 
 # ---------------------------------------------------------------------------
@@ -256,30 +294,25 @@ def estimate_upsilon_q(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
     lx = math.log(x)
     ly = math.log(table.y)
     omega = ctx.omega_q
-
-    res = sd.beta_cached(lx, table.y)
-    beta, s2 = res.sigma, res.sigma_j[2]
-    log_zq = sd.log_Z_q(beta, table, ctx)
-    log_g = math.log(sd.gaussian_G(beta * math.sqrt(s2)))
-    gq = sd.g_q(beta, ctx, table)
+    f = _main_factors(lx, table.y, ctx.q)
 
     correction = math.log1p(omega / math.sqrt(math.pi * bud.u)) if variant == "T1iii" else 0.0
     factors = {
-        "x_pow_beta": beta * lx,
-        "Z_q_beta": log_zq,
-        "G_factor": log_g,
-        "g_q_beta": math.log(gq),
+        "x_pow_beta": f.beta * lx,
+        "Z_q_beta": f.log_zq,
+        "G_factor": f.log_g,
+        "g_q_beta": f.log_gq,
         "correction_T1iii": correction,
     }
     flags = {"psi_below_cube": table.psi_y <= lx**3,
              "omega_small_vs_sqrt_y": omega <= math.sqrt(table.y) / ly}
     return EstimateBreakdown(
         theorem_tag=variant,
-        log_main=beta * lx + log_zq + log_g + correction,
+        log_main=f.beta * lx + f.log_zq + f.log_g + correction,
         factors=factors,
         budget=bud,
-        beta=beta,
-        sigma2=s2,
+        beta=f.beta,
+        sigma2=f.sigma2,
         flags=flags,
     )
 
@@ -304,13 +337,18 @@ def estimate_t2(x: float, y: int, q: int) -> EstimateBreakdown:
 
 
 def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext, a: int,
-                         variant: str = "T4", c1: float = DEFAULT_C1) -> EstimateBreakdown:
+                         variant: str = "T4", c1: float = DEFAULT_C1, *,
+                         classes: bool = False) -> EstimateBreakdown:
     """Equidistribution main term Upsilon_q(x, y) / phi(q) for a coprime class.
 
     T4 (small y): budget exp(-c1 u/(log u)^4) + 1/Y_eps, with the domain
     condition q <= y^(c0/log log y) recorded as a flag (it is vacuous at
     desk scale).  T5 (large y): budget log q/(u^c2 log y) + 1/log y, with
     q <= sqrt(y) flagged likewise.
+
+    Upsilon_q is a plain count, or with classes=True the coprime total of
+    the cached class vector mod q, which the exact class count of a
+    ``compare`` row reads next: one vector serves both.
     """
     if variant not in VARIANTS_PROGRESSION:
         raise DomainError(f"unknown variant {variant!r}")
@@ -321,7 +359,10 @@ def estimate_progression(x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCon
     bud = _budget(variant, x, table, ctx, c1)
     y = table.y
     q_ok = ctx.q <= (y ** (C0 / math.log(math.log(y))) if variant == "T4" else math.sqrt(y))
-    upsilon_q = ct.count_ultrafriable(x, table, ctx)
+    if classes:
+        upsilon_q = ct.count_ultrafriable_residues(x, table, ctx.q).coprime_total()
+    else:
+        upsilon_q = ct.count_ultrafriable(x, table, ctx)
     beta = s2 = None
     if bud.regime.small_y:
         res = sd.beta_cached(math.log(x), y)
@@ -387,9 +428,12 @@ def _residue_class(variant: str, a: int | None) -> int:
 
 
 def estimate(variant: str, x: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
-             a: int | None = None, c1: float = DEFAULT_C1) -> EstimateBreakdown:
+             a: int | None = None, c1: float = DEFAULT_C1, *,
+             classes: bool = False) -> EstimateBreakdown:
     """The estimate of a variant at (x, y, q): of the class a mod q for T4, T5 and R6,
-    and for UPS the T1i one at q = 1 whatever ctx is, so its budget reads omega_q = 0."""
+    and for UPS the T1i one at q = 1 whatever ctx is, so its budget reads omega_q = 0.
+    classes=True, for a row that also counts the class (``exact_count``), has T4
+    and T5 read Upsilon_q from the same class vector."""
     if variant == "UPS":
         return estimate_upsilon(x, table)
     if variant == "T2":
@@ -397,7 +441,8 @@ def estimate(variant: str, x: float, table: pr.PrimePowerTable, ctx: pr.ModulusC
     if variant == "R6":
         return estimate_noncoprime(x, table, ctx.q, _residue_class(variant, a), c1)
     if variant in VARIANTS_PROGRESSION:
-        return estimate_progression(x, table, ctx, _residue_class(variant, a), variant, c1)
+        return estimate_progression(x, table, ctx, _residue_class(variant, a), variant, c1,
+                                    classes=classes)
     return estimate_upsilon_q(x, table, ctx, variant)  # a DomainError for an unknown variant
 
 

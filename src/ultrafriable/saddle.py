@@ -229,7 +229,11 @@ def log_Z_q(s, table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None):
 
 @dataclass(frozen=True)
 class SaddleResult:
-    """A solved saddle point with its self-certifying residual."""
+    """A solved saddle point with its self-certifying residual.
+
+    A beta carries sigma_j = {2: sigma_2}, the derivative its last Newton
+    step already has; sigma_3 and sigma_4 are phi_j_q(3 | 4, beta, table).
+    """
 
     kind: str  # "ALPHA" or "BETA"
     sigma: float
@@ -275,9 +279,9 @@ def solve_beta(x: float | None, table: pr.PrimePowerTable, *,
 
     Pass x, or x=None and log_x for an x beyond the float range.  Newton
     starts at log(1 + eta)/log y, eta = psi(y)/log x - 2.  The result
-    carries sigma_j = phi_j(beta, y) for j = 2, 3, 4 (modulus 1); sigma_2
-    is the derivative from the last step, and a residual certified against
-    log x.
+    carries sigma_j = {2: phi_2(beta, y)} (modulus 1), the derivative from
+    the last step, and a residual certified against log x; no further
+    pass over the primes is made.
     """
     if log_x is None:
         if x < 2:
@@ -300,12 +304,11 @@ def solve_beta(x: float | None, table: pr.PrimePowerTable, *,
 
     start = math.log1p(table.psi_y / lx - 2.0) / math.log(table.y)
     beta, fb, fpb, it = _newton(fdf, lx, start, 1e-13 * max(1.0, lx))
-    s3, s4 = _phi(beta, ser, (3, 4))
     return SaddleResult(
         kind="BETA",
         sigma=beta,
         residual=abs(fb - lx) / lx,
-        sigma_j={2: -fpb, 3: s3, 4: s4},
+        sigma_j={2: -fpb},
         iterations=it,
     )
 
@@ -337,9 +340,11 @@ def solve_alpha(x: float, y: int) -> SaddleResult:
     return SaddleResult(kind="ALPHA", sigma=alpha, residual=abs(fa - lx) / lx, iterations=it)
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=1024)
 def beta_cached(log_x: float, y: int) -> SaddleResult:
-    """Memoised solve_beta keyed on (log x, y); x itself may exceed the float range."""
+    """Memoised solve_beta keyed on (log x, y), carrying beta and sigma_2 only;
+    x itself may exceed the float range.  1024 pairs hold every (x, y) of a
+    CLI sweep of up to that many, whose variant axis revisits each pair."""
     return solve_beta(None, pr.build_table(y), log_x=log_x)
 
 

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import csv
 import io
 import itertools
@@ -18,7 +19,10 @@ from ultrafriable import (__version__, build_table, compare, count_ultrafriable,
                           estimate_noncoprime, estimate_progression, estimate_t2, estimate_upsilon,
                           estimate_upsilon_q, exact_count, modulus_context, naive_oracle, t3_bound,
                           tau_N)
+from ultrafriable import characters as ch
 from ultrafriable import cli
+from ultrafriable import counting as ct
+from ultrafriable import estimators as es
 from ultrafriable import primes as pr
 from ultrafriable import saddle as sd
 from ultrafriable.calibration import DATA_FILE
@@ -454,6 +458,112 @@ def test_context_of_each_y_reaches_its_rows(capsys):
             bud = error_budget(parse_x("e10"), table, modulus_context(7, table))
             assert rows[y]["status"] == "ok"
             assert rows[y]["delta_q"] == _fmt(bud.delta_q), grid
+
+
+def _clear_every_cache():
+    """Empty every lru_cache of the package, as a fresh process starts with."""
+    for module in (pr, ct, sd, es, ch, cli):
+        for obj in list(vars(module).values()):
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+def _log_Z_q_calls(monkeypatch, capsys, args) -> tuple[collections.Counter, list[dict]]:
+    """The log_Z_q calls of a --jobs 1 run from cold caches, per (s, y, q), and its rows."""
+    _clear_every_cache()
+    calls = collections.Counter()
+    real = sd.log_Z_q
+
+    def counted(s, table, ctx=None):
+        calls[s, table.y, ctx.q] += 1
+        return real(s, table, ctx)
+
+    monkeypatch.setattr(sd, "log_Z_q", counted)
+    code, out = run_cli(args + ["--jobs", "1"], capsys)
+    assert code == 0
+    return calls, list(csv.DictReader(io.StringIO(out)))
+
+
+_T1_GRID = ["--x-grid", "e10:e600:7", "--y-grid", "1000,3000"]
+
+
+def test_variant_rows_of_a_point_evaluate_its_main_term_once(monkeypatch, capsys):
+    # T1i, T1ii, T1iii and UPS at one (x, y, q) share its main-term factors, and a
+    # UPS row at q = 1 is the T1i point itself
+    calls, rows = _log_Z_q_calls(monkeypatch, capsys, ["estimate", "--variant", "T1i,T1ii,T1iii,UPS",
+                                                       *_T1_GRID, "--q-grid", "1,6,30"])
+    points = {(r["x"], r["y"], r["q"]) for r in rows if r["variant"] == "T1i" and r["status"] == "ok"}
+    assert len(points) == (7 + 5) * 3  # the last two x are past the saddle domain of y = 1000
+    assert len(calls) == len(points) and set(calls.values()) == {1}
+    assert {q for _, _, q in calls} == {1, 6, 30}
+
+
+def test_ups_rows_evaluate_the_q1_point_once_per_x_and_y(monkeypatch, capsys):
+    calls, rows = _log_Z_q_calls(monkeypatch, capsys, ["estimate", "--variant", "UPS", *_T1_GRID,
+                                                       "--q-grid", "6,30"])
+    pairs = {(r["x"], r["y"]) for r in rows if r["status"] == "ok"}
+    assert len(pairs) == 7 + 5
+    assert len(calls) == len(pairs) and set(calls.values()) == {1}
+    assert {q for _, _, q in calls} == {1}
+
+
+@pytest.mark.parametrize("args", [
+    ["estimate", "--variant", "T1i,T1ii,T1iii,UPS", "--x-grid", "e10:e300:5",
+     "--y-grid", "1000,3000", "--q-grid", "1,6,30"],
+    ["compare", "--variant", "T1i,T4,R6,UPS", "--x-grid", "e10:e25:4", "--y-grid", "50,100",
+     "--q-grid", "1,6,7", "--a-grid", "1,2"],
+    ["saddle", "--x-grid", "e10:e300:6", "--y-grid", "1000,3000"],
+], ids=["estimate", "compare", "saddle"])
+def test_rows_from_cold_caches_are_the_rows_of_one_warm_pass(args):
+    # every cache holds values of its key alone: a row is the same from any cache state
+    specs = cli._expand_grids(build_parser().parse_args(args))
+    _clear_every_cache()
+    warm = [compute_row(spec) for spec in specs]
+    cold = []
+    for spec in specs:
+        _clear_every_cache()
+        cold.append(compute_row(spec))
+    assert cli.rows_to_csv(cold) == cli.rows_to_csv(warm)
+    assert [r["status"] for r in warm].count("ok") >= len(specs) // 3
+
+
+def test_saddle_row_sigma3_and_sigma4_are_phi_j_q():
+    # the solve carries sigma_2 alone; sigma_3 and sigma_4 are the values the
+    # fused phi_3/phi_4 pass gave, to the bit
+    for x, y in ((parse_x("e20"), 100), (parse_x("e200"), 3000), (10**6, 100)):
+        row = compute_row({"mode": "saddle", "x": x, "y": y})
+        assert row["status"] == "ok"
+        table, beta = build_table(y), row["beta"]
+        fused = sd._phi(beta, sd._series(y, ()), (3, 4))
+        assert row["sigma3"] == sd.phi_j_q(3, beta, table) == fused[0]
+        assert row["sigma4"] == sd.phi_j_q(4, beta, table) == fused[1]
+        assert row["sigma2"] == sd.solve_beta(x, table).sigma_j[2]
+
+
+@pytest.mark.parametrize("spec", [
+    {"mode": "compare", "x": parse_x("e30"), "y": 100, "q": 7, "a": 3, "variant": "T4"},
+    {"mode": "compare", "x": 10**6, "y": 1000, "q": 11, "a": 3, "variant": "T5"},
+])
+def test_progression_compare_row_reads_one_class_vector(monkeypatch, spec):
+    # Upsilon_q is the coprime total of the class vector that the exact count
+    # reads: a compare row builds that vector once and makes no plain count
+    plain = []
+    real = ct.count_ultrafriable
+    monkeypatch.setattr(ct, "count_ultrafriable", lambda *args: plain.append(args) or real(*args))
+    ct._class_vector.cache_clear()
+    row = compute_row(spec)
+    assert row["status"] == "ok"
+    assert ct._class_vector.cache_info().misses == 1 and plain == []
+    table = build_table(spec["y"])
+    ctx = modulus_context(spec["q"], table)
+    est = estimate_progression(spec["x"], table, ctx, spec["a"], spec["variant"])
+    assert len(plain) == 1  # an estimate alone makes its plain count
+    assert row["est_log_main"] == est.log_main
+    assert row["exact_value_or_log"] == str(count_ultrafriable_residues(spec["x"], table, spec["q"])[spec["a"]])
+    # an estimate row alone keeps the plain count and builds no vector
+    ct._class_vector.cache_clear()
+    assert compute_row({**spec, "mode": "estimate"})["est_log_main"] == est.log_main
+    assert len(plain) == 2 and ct._class_vector.cache_info().misses == 0
 
 
 def test_estimate_row_with_cached_beta_makes_no_phi_pass(monkeypatch):

@@ -103,6 +103,59 @@ def test_delta_remark_band(table100):
             assert lo <= r <= hi
 
 
+def test_error_budget_is_computed_once_per_point(table100):
+    # every variant row of (x, y, q) reads the one cached budget; another q
+    # or y is another point
+    x = math.exp(30)
+    bud = error_budget(x, table100, modulus_context(6, table100))
+    assert error_budget(x, table100, modulus_context(6, table100)) is bud
+    ctx30 = modulus_context(30, table100)
+    other_q = error_budget(x, table100, ctx30)
+    assert (other_q.omega_q, other_q.theta_q) == (3, ctx30.theta_q) != (2, bud.theta_q)
+    assert other_q.delta_q != bud.delta_q and other_q.u == bud.u
+    t = build_table(200)
+    other_y = error_budget(x, t, modulus_context(6, t))
+    assert other_y is not bud
+    lx = math.log(x)
+    assert (other_y.u, other_y.eta) == (lx / math.log(200), t.psi_y / lx - 2)
+    assert other_y.delta_q != bud.delta_q
+
+
+def _x_with_eta(table, eta: float) -> float:
+    """An x whose eta = psi(y)/log x - 2, as error_budget rounds it, is eta exactly."""
+    lx = table.psi_y / (2 + eta)
+    for _ in range(20):
+        if table.psi_y / lx - 2.0 == eta:
+            break
+        lx = math.nextafter(lx, math.inf if table.psi_y / lx - 2.0 > eta else 0.0)
+    x = math.exp(lx)
+    for _ in range(400):
+        if math.log(x) == lx:
+            return x
+        x = math.nextafter(x, math.inf if math.log(x) < lx else 0.0)
+    raise AssertionError(f"no x with eta = {eta} at y = {table.y}")
+
+
+def test_t1ii_domain_includes_eta_one_half(table100):
+    # T1(ii) holds for eta <= 1/2, the end point included
+    ctx = modulus_context(6, table100)
+    x = _x_with_eta(table100, 0.5)
+    est = estimate_upsilon_q(x, table100, ctx, "T1ii")
+    assert est.budget.eta == 0.5 and math.isfinite(est.budget.stated_bound)
+    with pytest.raises(DomainError, match="T1ii needs eta <= 1/2"):
+        estimate_upsilon_q(x * (1 - 1e-9), table100, ctx, "T1ii")
+
+
+@pytest.mark.parametrize("variant, q, a", [("T1i", 1, None), ("T1ii", 3, None),
+                                           ("T1iii", 3, None), ("T4", 3, 1), ("R6", 6, 2)])
+def test_saddle_variants_refuse_outside_the_saddle_domain(table10, variant, q, a):
+    # psi(10) = log 2520 <= 2 log x: out of the small-y domain, and y = 10 is
+    # not large either; the variant itself refuses, before any saddle or count
+    assert not classify_regime(2520, table10).small_y
+    with pytest.raises(RegimeError, match=f"{variant} needs the saddle domain"):
+        estimate(variant, 2520, table10, modulus_context(q, table10), a)
+
+
 # ---------------------------------------------------------------------------
 # global and coprime estimates
 # ---------------------------------------------------------------------------

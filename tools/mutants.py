@@ -32,9 +32,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COUNTING = "src/ultrafriable/counting.py"
+ESTIMATORS = "src/ultrafriable/estimators.py"
 PRIMES = "src/ultrafriable/primes.py"
 SADDLE = "src/ultrafriable/saddle.py"
 COUNTING_TESTS = ("tests/test_counting.py",)
+ESTIMATOR_TESTS = ("tests/test_estimators.py",)
 TIMEOUT_S = 300  # per pytest run
 
 MUTANTS = (
@@ -79,6 +81,21 @@ MUTANTS = (
      "dnu = np.array(ctx_d.nu_divisors, dtype=np.float64)",
      "dnu = np.array(ctx_d.nu_divisors, dtype=np.float64) + 1.0",
      ("tests/test_saddle.py", "tests/test_estimators.py")),
+    # Z_q and g_q belong to the modulus: a point cache keyed on (log x, y)
+    # alone hands every q the factors of the first q it saw
+    ("point cache keyed without q", ESTIMATORS,
+     "    f = _main_factors(lx, table.y, ctx.q)\n",
+     "    f = _main_factors(lx, table.y,\n"
+     "                      globals().setdefault('_FIRST_Q', {}).setdefault((lx, table.y), ctx.q))\n",
+     ("tests/test_cli.py", "tests/test_estimators.py")),
+    # every saddle variant (T1i-iii, T4, R6) refuses x outside psi(y) > 2 log x
+    ("small_y check dropped", ESTIMATORS,
+     "    elif not bud.regime.small_y:\n"
+     '        raise RegimeError(f"{variant} needs the saddle domain psi(y) > 2 log x")\n',
+     "", ESTIMATOR_TESTS),
+    # T1(ii) holds for eta <= 1/2, the end point included
+    ("T1ii eta bound strict", ESTIMATORS,
+     'if variant == "T1ii" and eta > 0.5:', 'if variant == "T1ii" and eta >= 0.5:', ESTIMATOR_TESTS),
 )
 
 
