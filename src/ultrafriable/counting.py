@@ -36,25 +36,28 @@ bounds 1 <= X < 2^63:
   ``_DIRECT_PAIRS`` per class), the products are listed and binned instead.
 
 A half's list is built from its own two halves in the same way, down to
-leaf rows with at most ``_DIRECT_TAU`` divisors.  A leaf's divisors below
-2^63 are listed once per process (``_all_divisors``, a bounded cache of
-read-only arrays, 16 MB at most) and shared by every bound, query and
-engine: its list <= X is the prefix that one ``searchsorted`` cuts.  Each
-list built from two halves has its length counted before it is allocated,
-and a list longer than ``LIST_CAP`` (2^25 entries, 256 MB of int64) raises
-ResourceError.  Every product formed is at most X, so none overflows int64.
+leaf rows: one row, or rows with at most ``_DIRECT_TAU`` divisors.  A
+leaf's divisors below 2^63 are listed once per process (``_all_divisors``,
+a bounded cache of read-only arrays, 16 MB at most) and shared by every
+bound, query and engine: its list <= X is the prefix that one
+``searchsorted`` cuts.  Each list built from two halves has its length
+counted before it is allocated, and a list longer than ``LIST_CAP`` (2^25
+entries, 256 MB of int64) raises ResourceError.  Every product formed is
+at most X, so none overflows int64.
 
 ``classes_le(bound, q)`` is the engine's one query; ``count_le(bound)`` is
 ``classes_le(bound, 1)[0]``.  ``_split_plan`` plans it from integer bounds
-before any list is built.  A bound >= N is the full vector, once per
-(rows, q) in exact Python ints.  At q = 1 only (mod q > 1 the class of N/d
-is no function of that of d), a bound >= sqrt(N) is reflected by the
-divisor symmetry to tau(N) minus the divisors below N/bound.  A bound
->= 2^63 splits off the largest prime power p^nu left into the bounds
-bound // p^e, their classes times p^e mod q; over ``SPLIT_CAP`` (2^12)
-sub-bounds raise ResourceError.  Sub-bounds on rows[:k] share one pair of
-half lists, built at the largest.  Real bounds are floored once on entry
-(counts are step functions of x); a negative bound is a DomainError.
+before any list is built, against the prefix products N_k of rows[:k]; it
+forms them once, up to the first past bound^2, as no test needs more.  A
+bound >= N_k is the full vector, once per (rows, q) in exact Python ints.
+At q = 1 only (mod q > 1 the class of N/d is no function of that of d), a
+bound >= sqrt(N_k) is reflected by the divisor symmetry to tau(N_k) minus
+the divisors below N_k/bound.  A bound >= 2^63 splits off the largest
+prime power p^nu left into the bounds bound // p^e, their classes times
+p^e mod q; over ``SPLIT_CAP`` (2^12) sub-bounds raise ResourceError.
+Sub-bounds on rows[:k] share one pair of half lists, built at the largest.
+Real bounds are floored once on entry (counts are step functions of x); a
+negative bound is a DomainError.
 
 Measured times and memory peaks are in the Scope notes of the README.
 """
@@ -64,7 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import compress
 
 import numpy as np
@@ -115,8 +118,9 @@ def _friable_bound(x) -> int:
 def _all_divisors(rows) -> np.ndarray:
     """Sorted divisors below 2^63 of prod p^nu over rows, as a read-only int64 array.
 
-    Only for rows with at most ``_DIRECT_TAU`` divisors, extended prime by
-    prime; listed once per process and shared by every bound and engine.
+    Only for leaf rows (one row, or at most ``_DIRECT_TAU`` divisors),
+    extended prime by prime; listed once per process and shared by every
+    bound and engine.
     The bound is the literal 2^63 - 1, not ``_INT64_LIMIT``, so that a list
     cached while that limit is lowered still holds every divisor.
     """
@@ -150,8 +154,14 @@ def _split(rows) -> tuple[tuple, tuple]:
 
 
 def _divisors_le(rows, X: int) -> np.ndarray:
-    """Sorted divisors <= X of prod p^nu over rows, as an int64 array."""
-    if math.prod(nu + 1 for _, nu in rows) <= _DIRECT_TAU:
+    """Sorted divisors <= X of prod p^nu over rows, as an int64 array.
+
+    One row, or rows with at most ``_DIRECT_TAU`` divisors, is a leaf.  Every
+    nu >= 1, so k rows have at least 2^k divisors, and the first
+    bit_length(_DIRECT_TAU) rows decide the count.
+    """
+    head = rows[:_DIRECT_TAU.bit_length()]
+    if len(rows) == 1 or math.prod(nu + 1 for _, nu in head) <= _DIRECT_TAU:
         d = _all_divisors(rows)
         return d[:d.searchsorted(X, "right")]
     return _pair_products(*_halves(rows, X), X)
@@ -275,18 +285,31 @@ def _halves(rows, X: int) -> tuple[np.ndarray, np.ndarray]:
 # the engine: (p, nu) rows and their one query, divisors <= a bound per class mod q
 # ---------------------------------------------------------------------------
 
-def _split_plan(rows, N: int, bound: int, q: int) -> list:
-    """Leaves (sign, k, b, m): the divisors <= bound of N, per class mod q, are
-    the sum over the leaves of sign times the divisors <= b < 2^63 of rows[:k]
-    (all of them for b = None), with their classes multiplied by m mod q."""
+def _split_plan(rows, bound: int, q: int) -> list:
+    """Leaves (sign, k, b, m): the divisors <= bound of prod p^nu over rows, per
+    class mod q, are the sum over the leaves of sign times the divisors
+    <= b < 2^63 of rows[:k] (all of them for b = None), with their classes
+    multiplied by m mod q.
+
+    Every sub-bound is at most bound, and each test compares it, or its
+    square, with the prefix product N_k of rows[:k]; a reflection needs
+    N_k <= bound^2.  So the products are formed once, up to the first past
+    bound^2, and that one stands for every longer prefix.
+    """
+    cap, prefix = bound * bound, [1]
+    for p, nu in rows:
+        if prefix[-1] > cap:
+            break
+        prefix.append(prefix[-1] * p ** nu)
     leaves = []
-    stack = [(1, len(rows), N, bound, 1 % q)]
+    stack = [(1, len(rows), bound, 1 % q)]
     for _ in range(SPLIT_CAP + 1):
         if not stack:
             return leaves
-        sign, k, N, bound, m = stack.pop()
+        sign, k, bound, m = stack.pop()
         if bound < 1:
             continue
+        N = prefix[min(k, len(prefix) - 1)]  # N_k, or a product past the first bound^2
         if bound >= N or (q == 1 and bound * bound >= N):
             leaves.append((sign, k, None, m))
             if bound >= N:
@@ -297,8 +320,7 @@ def _split_plan(rows, N: int, bound: int, q: int) -> list:
             leaves.append((sign, k, bound, m))
             continue
         p, nu = rows[k - 1]
-        N //= p ** nu
-        stack += [(sign, k - 1, N, bound // p ** e, m * p ** e % q) for e in range(nu + 1)]
+        stack += [(sign, k - 1, bound // p ** e, m * p ** e % q) for e in range(nu + 1)]
     raise ResourceError(f"a bound past 2^63 splits into more than {SPLIT_CAP} sub-bounds")
 
 
@@ -333,13 +355,12 @@ class _DivisorRows:
     The rows are a tuple of Python int pairs, made by ``_coprime_rows`` from
     the table's arrays, and engines over the same primes share one tuple.
     Each query builds the half lists it needs at its own bound, from leaf
-    lists shared through ``_all_divisors``.  N is computed on first use,
-    never for rows that only feed heads over p <= sqrt(x): at y = 10^6, N
-    has 1.4 million bits.
+    lists shared through ``_all_divisors``.  N itself is never formed: the
+    plan multiplies rows only up to the first prefix product past bound^2,
+    so the head of x = e^30 at y = 10^7 (234,855 rows) multiplies four.
     """
 
     tail_divs = ()  # an engine holds no divisor list; the leaf lists are shared
-    N = cached_property(lambda self: math.prod(p ** nu for p, nu in self.rows))
 
     def __init__(self, rows):
         self.rows = tuple(rows)
@@ -357,7 +378,7 @@ class _DivisorRows:
         gcd(m, q) > 1.
         """
         by_k = {}
-        for sign, k, b, m in _split_plan(self.rows, self.N, bound, q):
+        for sign, k, b, m in _split_plan(self.rows, bound, q):
             by_k.setdefault(k, []).append((sign, b, m))
         vec = [0] * q
         for k, group in by_k.items():

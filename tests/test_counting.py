@@ -34,7 +34,7 @@ from ultrafriable import (
 )
 from ultrafriable import counting as ct
 from ultrafriable.counting import LIST_CAP, RESIDUE_Q_BOUND
-from ultrafriable.primes import factorize
+from ultrafriable.primes import factorize, sieve_primes
 from conftest import divisors_of
 
 DIV2520 = divisors_of(2520)
@@ -541,12 +541,26 @@ def test_split_past_the_budget_raises_before_counting():
     assert time.perf_counter() - start < 1
 
 
+def test_plan_of_a_large_head_never_forms_N():
+    # the head of x = e^30 at y = 10^7 has 234,855 rows, and their N some
+    # 4.7 million bits; the plan multiplies rows only up to the first prefix
+    # product past x^2, so it is at once a single leaf
+    x = int(math.exp(30))
+    head, tail = ct._head_and_tail(x, 10**7, (), "ultrafriable")
+    assert len(head.rows) == 234_855 and len(tail) > 0
+    assert not hasattr(ct._DivisorRows, "N") and not hasattr(head, "N")
+    start = time.perf_counter()
+    assert ct._split_plan(head.rows, x, 1) == [(1, len(head.rows), x, 0)]
+    assert time.perf_counter() - start < 0.5
+
+
 def test_full_residue_vector_built_once_per_rows_and_modulus(table50):
     engine = ct.get_residue_counter(table50, 11)
     ct._full_residues(engine.rows, 11)
     misses = ct._full_residues.cache_info().misses
-    tau = tau_N(table50, modulus_context(1, table50))
-    for x in (engine.N, engine.N + 1, 2 * engine.N, 10**40):
+    ctx = modulus_context(1, table50)
+    N, tau = N_q(table50, ctx), tau_N(table50, ctx)
+    for x in (N, N + 1, 2 * N, 10**40):
         assert count_ultrafriable_residues(x, table50, 11).total() == tau
     assert ct._full_residues.cache_info().misses == misses
 
@@ -612,10 +626,58 @@ def test_bounds_above_int64_match_powers_of_two_split(y, lx):
 def test_lowered_int64_limit_splits_at_oracle_scale():
     # the harness below is vacuous unless the plan reads the patched limit
     rows = ct.get_counter(build_table(89)).rows
-    N = math.prod(p ** nu for p, nu in rows)
     with mock.patch.object(ct, "_INT64_LIMIT", 50):
-        leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(rows, N, 10**5, 1) if b is not None]
+        leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(rows, 10**5, 1) if b is not None]
     assert len(leaves) > 1000 and all(b < 50 for _, _, b in leaves)
+
+
+def _reference_plan(rows, N, bound, q):
+    """The split plan carrying the exact N of rows[:k] down its stack."""
+    leaves = []
+    stack = [(1, len(rows), N, bound, 1 % q)]
+    for _ in range(ct.SPLIT_CAP + 1):
+        if not stack:
+            return leaves
+        sign, k, N, bound, m = stack.pop()
+        if bound < 1:
+            continue
+        if bound >= N or (q == 1 and bound * bound >= N):
+            leaves.append((sign, k, None, m))
+            if bound >= N:
+                continue
+            sign, bound = -sign, (N - 1) // bound
+        if bound < ct._INT64_LIMIT:
+            leaves.append((sign, k, bound, m))
+            continue
+        p, nu = rows[k - 1]
+        N //= p ** nu
+        stack += [(sign, k - 1, N, bound // p ** e, m * p ** e % q) for e in range(nu + 1)]
+    raise ResourceError(f"a bound past 2^63 splits into more than {ct.SPLIT_CAP} sub-bounds")
+
+
+@seed(26)
+@settings(max_examples=200, deadline=None)
+@given(rows=st.dictionaries(st.sampled_from(sieve_primes(300).tolist()),
+                            st.integers(min_value=1, max_value=12), max_size=14)
+       .map(lambda d: tuple(sorted(d.items()))),
+       at=st.sampled_from(("0", "1", "N-1", "N", "N+1", "sqrtN", "sqrtN+1", "1e40")),
+       limit=st.sampled_from((50, 300, 5000, 1 << 63)), q=st.sampled_from((1, 2, 6, 7, 30)))
+def test_split_plan_matches_a_plan_with_exact_N(rows, at, limit, q):
+    # the plan forms prefix products only up to the first past bound^2; a plan
+    # that carries the exact N of every prefix must give the same leaves, in
+    # the same order, and refuse the same bounds
+    N = math.prod(p ** nu for p, nu in rows)
+    bound = {"0": 0, "1": 1, "N-1": N - 1, "N": N, "N+1": N + 1, "sqrtN": math.isqrt(N),
+             "sqrtN+1": math.isqrt(N) + 1, "1e40": 10**40}[at]
+    cap = ct.SPLIT_CAP if limit == 1 << 63 else 1 << 14  # a lowered limit plans more sub-bounds
+    with mock.patch.object(ct, "_INT64_LIMIT", limit), mock.patch.object(ct, "SPLIT_CAP", cap):
+        try:
+            want = _reference_plan(rows, N, bound, q)
+        except ResourceError:
+            with pytest.raises(ResourceError, match="sub-bounds"):
+                ct._split_plan(rows, bound, q)
+            return
+        assert ct._split_plan(rows, bound, q) == want
 
 
 @seed(20)
@@ -660,6 +722,45 @@ def test_class_split_exact_at_oracle_scale(limit, qy, pick):
     for a in range(q):
         assert plain[a] == naive_oracle(x, y, a=a, q=q)
         assert friable[a] == naive_oracle(x, y, a=a, q=q, mode="friable")
+
+
+@seed(27)
+@settings(max_examples=10, deadline=None)
+@given(tau=st.sampled_from((2, 32, 4096)), limit=st.sampled_from((50, 5000, 1 << 63)),
+       cells=st.sampled_from((5, 1 << 15)), block=st.sampled_from((64, 1 << 20)),
+       pairs=st.sampled_from((0, 256)), pick=st.randoms(use_true_random=True))
+def test_path_knobs_together_match_oracle(tau, limit, cells, block, pairs, pick):
+    # every module constant that picks an engine path, drawn with the point:
+    # a leaf of one row whatever _DIRECT_TAU is, the split past a lowered
+    # int64 limit, class sweeps in tiny blocks and no direct binning.  The
+    # point is uniform: the split needs x well above the limit, and y on
+    # both sides of sqrt(x) takes heads with and without Buchstab's tail.
+    # At limit 50 a class plan past y = 89 passes SPLIT_CAP sub-bounds, a
+    # refusal tested on its own, so y stops there.
+    x, y = pick.randrange(10**6), pick.randrange(2, 90 if limit == 50 else 2001)
+    q = pick.randrange(1, 211)
+    t = build_table(y)
+    ctx = modulus_context(q, t)
+    with mock.patch.multiple(ct, _DIRECT_TAU=tau, _INT64_LIMIT=limit, SPLIT_CAP=1 << 17,
+                             _CELLS=cells, _BLOCK=block, _DIRECT_PAIRS=pairs):
+        for cache in (ct._all_divisors, ct._class_vector, ct._counter):
+            cache.cache_clear()  # nothing listed or counted at the real knobs
+        ultra = count_ultrafriable_residues(x, t, q).counts
+        friable = [count_friable_progression(x, y, a, q) for a in range(q)]
+        plain = count_ultrafriable(x, t, ctx) if ctx.p_plus_le_y else count_ultrafriable(x, t)
+        smooth = count_friable(x, y, q if ctx.p_plus_le_y else 1)
+    assert list(ultra) == [naive_oracle(x, y, a=a, q=q) for a in range(q)]
+    assert friable == [naive_oracle(x, y, a=a, q=q, mode="friable") for a in range(q)]
+    assert plain == naive_oracle(x, y, q=q if ctx.p_plus_le_y else None)
+    assert smooth == naive_oracle(x, y, q=q if ctx.p_plus_le_y else None, mode="friable")
+
+
+def test_one_row_is_a_leaf_below_its_divisor_count():
+    # a row with more divisors than _DIRECT_TAU is listed directly, not halved
+    ct._all_divisors.cache_clear()
+    with mock.patch.object(ct, "_DIRECT_TAU", 2):
+        assert ct._divisors_le(((2, 10),), 100).tolist() == [1, 2, 4, 8, 16, 32, 64]
+        assert ct._divisors_le(((3, 2), (5, 1)), 50).tolist() == [1, 3, 5, 9, 15, 45]
 
 
 def test_lists_cached_under_a_lowered_limit_stay_whole():
@@ -727,7 +828,7 @@ def test_split_lists_each_row_prefix_once():
     t = build_table(100)
     x = int(math.exp(45))
     engine = ct.get_counter(t)
-    leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(engine.rows, engine.N, x, 1) if b is not None]
+    leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(engine.rows, x, 1) if b is not None]
     ks = {k for _, k, _ in leaves}
     assert len(leaves) > len(ks) > 1
     with mock.patch.object(ct, "_halves", wraps=ct._halves) as halves:
@@ -743,7 +844,7 @@ def test_split_peak_is_one_groups_lists(y, lx):
     # count peaks at the largest single group, not at two groups at once
     engine = ct.get_counter(build_table(y))
     x = int(math.exp(lx))
-    leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(engine.rows, engine.N, x, 1) if b is not None]
+    leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(engine.rows, x, 1) if b is not None]
     tops = {}
     for _, k, b in leaves:
         tops[k] = max(tops.get(k, 0), b)

@@ -146,6 +146,19 @@ def test_t1ii_domain_includes_eta_one_half(table100):
         estimate_upsilon_q(x * (1 - 1e-9), table100, ctx, "T1ii")
 
 
+def test_t1iii_domain_excludes_eta_sqrt_u_one_fifth():
+    # T1(iii) needs eta * sqrt(u) < 0.2, strictly; at this x the budget's own
+    # eta * sqrt(u) is 0.2 exactly, and just above x it is below
+    t = build_table(862)
+    ctx = modulus_context(1, t)
+    x = 1.3838089206049753e+185
+    bud = error_budget(x, t, ctx)
+    assert bud.eta * math.sqrt(bud.u) == 0.2
+    with pytest.raises(DomainError, match="T1iii needs eta"):
+        estimate("T1iii", x, t, ctx)
+    assert math.isfinite(estimate("T1iii", x * (1 + 1e-9), t, ctx).budget.stated_bound)
+
+
 @pytest.mark.parametrize("variant, q, a", [("T1i", 1, None), ("T1ii", 3, None),
                                            ("T1iii", 3, None), ("T4", 3, 1), ("R6", 6, 2)])
 def test_saddle_variants_refuse_outside_the_saddle_domain(table10, variant, q, a):

@@ -31,6 +31,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CHARACTERS = "src/ultrafriable/characters.py"
+CLI = "src/ultrafriable/cli.py"
 COUNTING = "src/ultrafriable/counting.py"
 ESTIMATORS = "src/ultrafriable/estimators.py"
 PRIMES = "src/ultrafriable/primes.py"
@@ -67,6 +69,20 @@ MUTANTS = (
     # a bound >= N counts every divisor of the rows
     ("full-divisor leaf dropped", COUNTING,
      "leaves.append((sign, k, None, m))", "pass", COUNTING_TESTS),
+    # a reflection reads N_k exactly, so the prefix products run past bound^2
+    ("plan capped at bound, not bound^2", COUNTING,
+     "cap, prefix = bound * bound, [1]", "cap, prefix = bound, [1]", COUNTING_TESTS),
+    # one row is listed directly, whatever _DIRECT_TAU is: halving it recurses forever
+    ("one-row leaf dropped", COUNTING,
+     "if len(rows) == 1 or math.prod(", "if math.prod(", COUNTING_TESTS),
+    # chi(n)'s value index weighs generator i's discrete log by L / o_i
+    ("value-index weights dropped", CHARACTERS,
+     "np.array([L // o for o in self.orders]", "np.array([1 for o in self.orders]",
+     ("tests/test_characters.py",)),
+    # y, q and a take integer literals only; a float point is refused, not floored
+    ("integer axes take floats", CLI,
+     "if not all(isinstance(v, int) for v in", "if not all(isinstance(v, (int, float)) for v in",
+     ("tests/test_cli.py",)),
     # g_q(s) = prod (1 - p^-s) / (1 - p^-(nu_p+1)s), a factor in (0, 1]
     ("g_q quotient inverted", SADDLE,
      "np.prod(em[:n] / em[n:])", "np.prod(em[n:] / em[:n])", ("tests/test_saddle.py",)),
@@ -96,6 +112,10 @@ MUTANTS = (
     # T1(ii) holds for eta <= 1/2, the end point included
     ("T1ii eta bound strict", ESTIMATORS,
      'if variant == "T1ii" and eta > 0.5:', 'if variant == "T1ii" and eta >= 0.5:', ESTIMATOR_TESTS),
+    # T1(iii) holds for eta * sqrt(u) < 0.2, the end point excluded
+    ("T1iii eta*sqrt(u) end point admitted", ESTIMATORS,
+     "eta * math.sqrt(u) >= T1III_ETA_SQRT_U:", "eta * math.sqrt(u) > T1III_ETA_SQRT_U:",
+     ESTIMATOR_TESTS),
 )
 
 
