@@ -32,18 +32,27 @@ bounds 1 <= X < 2^63:
   bounds X // v ascend and each pairs v with a longer prefix; one prefix
   sweep over blocks of (bound, class) cells counts each prefix per class r
   (a ``bincount`` and a cumsum per block) and folds the counts into class
-  r * v mod q; when there are no more pairs than cells (or than
+  r * v mod q, in int32, as every (v mod q) * r < q^2 <= RESIDUE_Q_BOUND^2
+  = 10^8 < 2^31; when there are no more pairs than cells (or than
   ``_DIRECT_PAIRS`` per class), the products are listed and binned instead.
 
 A half's list is built from its own two halves in the same way, down to
-leaf rows: one row, or rows with at most ``_DIRECT_TAU`` divisors.  A
+leaf rows: one row, or rows with at most ``_DIRECT_TAU`` divisors.  Which
+rows are leaves and how the rest split does not depend on X, so each row
+tuple is planned once (``_Plan``), and an engine keeps the tree of each row
+prefix it has queried.  A side of one block (at most ``_BLOCK`` products,
+every side at the scale of x <= e^30) is formed in one indexed product,
+and a list of two such sides is joined in one call and sorted in place.  A
 leaf's divisors below 2^63 are listed once per process (``_all_divisors``,
 a bounded cache of read-only arrays, 16 MB at most) and shared by every
 bound, query and engine: its list <= X is the prefix that one
-``searchsorted`` cuts.  Each list built from two halves has its length
-counted before it is allocated, and a list longer than ``LIST_CAP`` (2^25
-entries, 256 MB of int64) raises ResourceError.  Every product formed is
-at most X, so none overflows int64.
+``searchsorted`` cuts.  A leaf list is extended a prime at a time, by
+p^0..p^nu in one outer product, or, when that would pass 2^63, each p^e
+times the prefix of the list below 2^63 / p^e in one indexed product.
+Each list built from two halves has its length counted before it is
+allocated, and a list longer than ``LIST_CAP`` (2^25 entries, 256 MB of
+int64) raises ResourceError.  Every product formed in a pair is at most X,
+and in a leaf below 2^63, so none overflows int64.
 
 ``classes_le(bound, q)`` is the engine's one query; ``count_le(bound)`` is
 ``classes_le(bound, 1)[0]``.  ``_split_plan`` plans it from integer bounds
@@ -119,25 +128,24 @@ def _all_divisors(rows) -> np.ndarray:
     """Sorted divisors below 2^63 of prod p^nu over rows, as a read-only int64 array.
 
     Only for leaf rows (one row, or at most ``_DIRECT_TAU`` divisors),
-    extended prime by prime; listed once per process and shared by every
-    bound and engine.
+    extended a prime at a time: the list d times p^0..p^nu in one outer
+    product while d[-1] * p^nu < 2^63, and otherwise each power p^e times
+    the prefix of d below 2^63 / p^e, in one indexed product.  No product
+    past 2^63 is formed.  Listed once per process and shared by every bound
+    and engine.
     The bound is the literal 2^63 - 1, not ``_INT64_LIMIT``, so that a list
     cached while that limit is lowered still holds every divisor.
     """
     top = (1 << 63) - 1
     d = np.ones(1, dtype=np.int64)
     for p, nu in reversed(rows):
-        pieces = [d]
-        pw = 1
-        for _ in range(nu):
-            pw *= p
-            k = int(d.searchsorted(top // pw, "right"))
-            if k == 0:
-                break
-            pieces.append(d[:k] * pw)
-        if len(pieces) > 1:
-            d = np.concatenate(pieces)
-            d.sort()
+        pw = np.array([p ** e for e in range(nu + 1) if p ** e <= top], dtype=np.int64)
+        if int(d[-1]) * p ** nu <= top:
+            d = np.multiply.outer(pw, d).ravel()
+        else:
+            ends = d.searchsorted(top // pw, "right")
+            d = d[np.arange(ends.sum()) - (ends.cumsum() - ends).repeat(ends)] * pw.repeat(ends)
+        d.sort()
     d.flags.writeable = False
     return d
 
@@ -153,18 +161,36 @@ def _split(rows) -> tuple[tuple, tuple]:
             tuple(r for i, r in enumerate(rows) if i % 4 in (1, 2)))
 
 
-def _divisors_le(rows, X: int) -> np.ndarray:
-    """Sorted divisors <= X of prod p^nu over rows, as an int64 array.
+class _Plan:
+    """One row tuple of a split tree, planned once: a leaf, or two halves.
 
     One row, or rows with at most ``_DIRECT_TAU`` divisors, is a leaf.  Every
     nu >= 1, so k rows have at least 2^k divisors, and the first
-    bit_length(_DIRECT_TAU) rows decide the count.
+    bit_length(_DIRECT_TAU) rows decide the count.  The halves (``_split``)
+    are planned on first use and kept for the life of the tree, which is the
+    life of the engine that holds it.
     """
-    head = rows[:_DIRECT_TAU.bit_length()]
-    if len(rows) == 1 or math.prod(nu + 1 for _, nu in head) <= _DIRECT_TAU:
-        d = _all_divisors(rows)
+
+    __slots__ = ("rows", "leaf", "_halves")
+
+    def __init__(self, rows):
+        self.rows = rows
+        head = rows[:_DIRECT_TAU.bit_length()]
+        self.leaf = len(rows) == 1 or math.prod(nu + 1 for _, nu in head) <= _DIRECT_TAU
+        self._halves = None
+
+    def halves(self) -> tuple[_Plan, _Plan]:
+        if self._halves is None:
+            self._halves = tuple(map(_Plan, _split(self.rows)))
+        return self._halves
+
+
+def _divisors_le(plan: _Plan, X: int) -> np.ndarray:
+    """Sorted divisors <= X of prod p^nu over the plan's rows, as an int64 array."""
+    if plan.leaf:
+        d = _all_divisors(plan.rows)
         return d[:d.searchsorted(X, "right")]
-    return _pair_products(*_halves(rows, X), X)
+    return _pair_products(*_halves(plan, X), X)
 
 
 def _pair_sides(A: np.ndarray, B: np.ndarray, X: int) -> tuple:
@@ -188,14 +214,17 @@ def _product_blocks(sides):
     for V, P, ends in sides:
         if not len(V):  # a tail has no entry <= sqrt(X)
             continue
-        total = np.cumsum(ends)
+        total = ends.cumsum()
+        if total[-1] <= _BLOCK:  # one block: no cut to search for
+            yield P[np.arange(total[-1]) - (total - ends).repeat(ends)] * V.repeat(ends)
+            continue
         i = pos = 0
         while pos < total[-1]:
             j = max(i + 1, int(total.searchsorted(pos + _BLOCK, "right")))
             end = int(total[j - 1])
             c = ends[i:j]
-            offset = np.arange(end - pos) - np.repeat(total[i:j] - c - pos, c)
-            yield P[offset] * np.repeat(V[i:j], c)
+            offset = np.arange(end - pos) - (total[i:j] - c - pos).repeat(c)
+            yield P[offset] * V[i:j].repeat(c)
             i, pos = j, end
 
 
@@ -205,11 +234,15 @@ def _pair_products(A: np.ndarray, B: np.ndarray, X: int) -> np.ndarray:
     total = sum(int(ends.sum()) for _, _, ends in sides)
     if total > LIST_CAP:
         raise ResourceError(f"a divisor list of {total} entries exceeds the cap {LIST_CAP}")
-    out = np.empty(total, dtype=np.int64)
-    pos = 0
-    for block in _product_blocks(sides):
-        out[pos:pos + len(block)] = block
-        pos += len(block)
+    blocks = _product_blocks(sides)
+    if total <= _BLOCK:  # a block a side at most: joined in one call
+        out = np.concatenate([*blocks, np.empty(0, dtype=np.int64)])
+    else:
+        out = np.empty(total, dtype=np.int64)
+        pos = 0
+        for block in blocks:
+            out[pos:pos + len(block)] = block
+            pos += len(block)
     out.sort()
     return out
 
@@ -223,13 +256,15 @@ def _class_pairs(V: np.ndarray, P: np.ndarray, ends: np.ndarray, q: int) -> np.n
     contiguous slice of P.  In a block, one ``bincount`` of row * q + u mod q
     gives the entries new to each row; a cumsum down the rows, after the
     last row of the block before, gives C[j, r] = #{u in P[:ends[j]] : u ≡ r};
-    one more ``bincount`` folds C[j, r] into class (v_j mod q) * r.  That
-    fold sums the integers C in float64, exact as every sum is at most
+    one more ``bincount`` folds C[j, r] into class (v_j mod q) * r.  The
+    classes are formed in int32, as (v_j mod q) * r < q^2 < 2^31 for every
+    q <= RESIDUE_Q_BOUND, a fifth of the int64 time.  That fold sums the
+    integers C in float64, exact as every sum is at most
     len(P) * len(V) <= LIST_CAP^2 = 2^50 < 2^53.
     """
     V, ends = V[::-1], ends[::-1]
-    assert len(P) * len(V) < 1 << 53
-    classes = np.arange(q)
+    assert len(P) * len(V) < 1 << 53 and q * q < 1 << 31
+    classes = np.arange(q, dtype=np.int32)
     out = np.zeros(q, dtype=np.int64)
     carry = np.zeros(q, dtype=np.int64)
     step = max(16, _CELLS // q)  # rows per block; 16 or more keep a block's numpy calls few
@@ -247,7 +282,7 @@ def _class_pairs(V: np.ndarray, P: np.ndarray, ends: np.ndarray, q: int) -> np.n
         C[0] += carry
         C.cumsum(axis=0, out=C)
         carry, lo = C[-1], hi
-        folded = (V[j:j + step] % q)[:, None] * classes
+        folded = (V[j:j + step] % q).astype(np.int32)[:, None] * classes
         folded -= folded // q * q  # the remainder mod q; // by a scalar is the faster op
         out += np.bincount(folded.ravel(), weights=C.ravel(), minlength=q).astype(np.int64)
     return out
@@ -275,9 +310,9 @@ def _residue_pairs(A: np.ndarray, B: np.ndarray, X: int, q: int) -> np.ndarray:
     return out
 
 
-def _halves(rows, X: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted divisor lists <= X of the two halves of the rows."""
-    left, right = _split(rows)
+def _halves(plan: _Plan, X: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted divisor lists <= X of the two halves of the plan's rows."""
+    left, right = plan.halves()
     return _divisors_le(left, X), _divisors_le(right, X)
 
 
@@ -358,12 +393,17 @@ class _DivisorRows:
     lists shared through ``_all_divisors``.  N itself is never formed: the
     plan multiplies rows only up to the first prefix product past bound^2,
     so the head of x = e^30 at y = 10^7 (234,855 rows) multiplies four.
+    The split tree of each row prefix (``_Plan``) is kept by the engine from
+    the first query whose lists it built, so a warm engine splits no rows.
+    A query refused by ResourceError keeps no tree, and a Buchstab head is
+    an engine of one query: no large row tuple outlives its query.
     """
 
     tail_divs = ()  # an engine holds no divisor list; the leaf lists are shared
 
     def __init__(self, rows):
         self.rows = tuple(rows)
+        self._plans = {}  # k -> the split tree of rows[:k]
 
     def count_le(self, bound: int) -> int:
         """Number of divisors of N that are <= bound (exact)."""
@@ -383,7 +423,11 @@ class _DivisorRows:
         vec = [0] * q
         for k, group in by_k.items():
             top = max((b for _, b, _ in group if b is not None), default=None)
-            halves = None if top is None else _halves(self.rows[:k], top)
+            halves = None
+            if top is not None:
+                plan = self._plans.get(k) or _Plan(self.rows[:k])
+                halves = _halves(plan, top)
+                self._plans[k] = plan  # kept once its lists are built: a refused query keeps none
             for sign, b, m in group:
                 part = _full_residues(self.rows[:k], q) if b is None else \
                     _residue_pairs(*halves, b, q).tolist()

@@ -21,15 +21,23 @@ DEFAULT_Y_BUDGET = 10**8
 
 
 def sieve_primes(n: int) -> np.ndarray:
-    """All primes <= n, ascending, as an int64 array."""
+    """All primes <= n, ascending, as an int64 array.
+
+    The sieve holds the odd numbers only: mask[i] stands for 2i + 1, and an
+    odd p strikes p^2, p^2 + 2p, ..., every p-th entry from p^2 // 2.
+    """
     if n < 2:
         return np.zeros(0, dtype=np.int64)
-    mask = np.ones(n + 1, dtype=bool)
-    mask[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64, copy=False)
+    mask = np.ones((n + 1) // 2, dtype=bool)
+    mask[0] = False  # 1 is not prime
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if mask[i]:
+            p = 2 * i + 1
+            mask[p * p // 2 :: p] = False
+    odd = np.flatnonzero(mask)
+    odd *= 2
+    odd += 1
+    return np.concatenate(([2], odd)).astype(np.int64, copy=False)
 
 
 @lru_cache(maxsize=None)

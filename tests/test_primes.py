@@ -2,6 +2,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from ultrafriable import (
@@ -54,6 +55,26 @@ def test_nu_exact_power_boundaries():
         assert t.nu_of(p) == k
         t2 = build_table(y - 1)
         assert t2.nu_of(p) == k - 1
+
+
+def _reference_sieve(n: int) -> list[int]:
+    """Primes <= n from a plain sieve over every integer."""
+    mask = [False, False] + [True] * (n - 1) if n >= 1 else [False] * (n + 1)
+    for p in range(2, math.isqrt(max(n, 0)) + 1):
+        if mask[p]:
+            mask[p * p :: p] = [False] * len(range(p * p, n + 1, p))
+    return [k for k, prime in enumerate(mask) if prime]
+
+
+def test_odd_sieve_matches_a_plain_sieve():
+    # the sieve holds odd numbers only and prepends 2: n < 2, n = 2 and 3,
+    # every n up to 3000, primes and squares of primes as n, and a few large n
+    want = _reference_sieve(3000)
+    for n in range(-1, 3001):
+        got = sieve_primes(n)
+        assert got.dtype == np.int64 and got.tolist() == [q for q in want if q <= n], n
+    for n in (10007, 10007**2 // 1000, 99991, 1024000, 1024001):
+        assert sieve_primes(n).tolist() == _reference_sieve(n), n
 
 
 @pytest.mark.parametrize("bound", [3**5 - 1, 3**5, 3**5 + 1, 3**10, 17**3, 31**3, 83**3, 10**9])

@@ -74,7 +74,26 @@ MUTANTS = (
      "cap, prefix = bound * bound, [1]", "cap, prefix = bound, [1]", COUNTING_TESTS),
     # one row is listed directly, whatever _DIRECT_TAU is: halving it recurses forever
     ("one-row leaf dropped", COUNTING,
-     "if len(rows) == 1 or math.prod(", "if math.prod(", COUNTING_TESTS),
+     "self.leaf = len(rows) == 1 or math.prod(", "self.leaf = math.prod(", COUNTING_TESTS),
+    # the divisors > bound are tau(N) minus those below N/bound: the reflected leaf subtracts
+    ("reflection's sign kept", COUNTING,
+     "sign, bound = -sign, (N - 1) // bound", "sign, bound = sign, (N - 1) // bound", COUNTING_TESTS),
+    # a prime of q above sqrt(x) divides no n coprime to q: it leaves Buchstab's tail
+    ("tail keeps the large primes of q", COUNTING,
+     "            tail = tail[tail != r]\n", "            pass\n", COUNTING_TESTS),
+    # every class r * v of the sweep's fold is reduced mod q, in int32
+    ("class fold's remainder mod 2q", COUNTING,
+     "folded -= folded // q * q", "folded -= folded // (2 * q) * (2 * q)", COUNTING_TESTS),
+    ("class fold's remainder dropped", COUNTING,
+     "        folded -= folded // q * q  # the remainder mod q; // by a scalar is the faster op\n", "",
+     COUNTING_TESTS),
+    # a leaf row's power p^e times the prefix of the list below 2^63 / p^e, every entry of it
+    ("leaf prefix ends shifted by one", COUNTING,
+     'ends = d.searchsorted(top // pw, "right")', 'ends = d.searchsorted(top // pw, "right") - 1',
+     COUNTING_TESTS),
+    # a primitive root g mod p with g^(p-1) = 1 mod p^2 does not generate mod p^2; g + p does
+    ("primitive root lift dropped", CHARACTERS,
+     "        g += p\n", "        pass\n", ("tests/test_characters.py",)),
     # chi(n)'s value index weighs generator i's discrete log by L / o_i
     ("value-index weights dropped", CHARACTERS,
      "np.array([L // o for o in self.orders]", "np.array([1 for o in self.orders]",
@@ -109,6 +128,11 @@ MUTANTS = (
      "    elif not bud.regime.small_y:\n"
      '        raise RegimeError(f"{variant} needs the saddle domain psi(y) > 2 log x")\n',
      "", ESTIMATOR_TESTS),
+    # REMC, T2 and T5 refuse x outside the large-y regime y >= (log x)^(2+eps)
+    ("large_y check dropped", ESTIMATORS,
+     "        if not bud.regime.large_y:\n"
+     '            raise RegimeError(f"{variant} needs y >= (log x)^(2+eps)")\n',
+     "        pass\n", ESTIMATOR_TESTS),
     # T1(ii) holds for eta <= 1/2, the end point included
     ("T1ii eta bound strict", ESTIMATORS,
      'if variant == "T1ii" and eta > 0.5:', 'if variant == "T1ii" and eta >= 0.5:', ESTIMATOR_TESTS),
