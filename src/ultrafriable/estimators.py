@@ -16,7 +16,7 @@ level of asymptotics, which isolates the statement under test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -260,7 +260,10 @@ def _budget(variant: str, x: float, table: pr.PrimePowerTable, ctx: pr.ModulusCo
         stated = ctx.q * u * math.log(2.0 * u) / (ctx.phi_q * math.sqrt(table.y) * ly)
         if variant == "REMC":
             stated += 1.0 / u
-    return replace(bud, stated_bound=stated)
+    # one constructor call: dataclasses.replace takes half again as long
+    return ErrorBudget(u=u, eta=eta, omega_q=omega, theta_q=bud.theta_q, delta_q=bud.delta_q,
+                       delta_q_alt=bud.delta_q_alt, dd_q=bud.dd_q, cc_q=bud.cc_q,
+                       regime=bud.regime, stated_bound=stated)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 import re
@@ -28,6 +29,7 @@ from ultrafriable import (
     naive_oracle,
     t3_bound,
 )
+from ultrafriable import estimators as es
 from ultrafriable.calibration import load_constants
 from ultrafriable.estimators import VARIANTS, L_eps, Y_eps
 
@@ -119,6 +121,32 @@ def test_error_budget_is_computed_once_per_point(table100):
     lx = math.log(x)
     assert (other_y.u, other_y.eta) == (lx / math.log(200), t.psi_y / lx - 2)
     assert other_y.delta_q != bud.delta_q
+
+
+def test_every_variant_budget_is_the_point_budget_with_its_bound():
+    # _budget builds each variant's budget in one constructor call: every
+    # field but the stated bound is the point's, as dataclasses.replace
+    # would copy it
+    small, large = build_table(100), build_table(10**4)
+    points = [(small, lx) for lx in (10.0, 30.0, small.psi_y / 2.3, small.psi_y / 2.01)]
+    points += [(large, lx) for lx in (9.0, 13.8, 20.0)]
+    for variant in ("T1i", "T1ii", "T1iii", "REMC", "T2", "T4", "T5", "R6"):
+        checked = 0
+        for t, lx in points:
+            for q in (1, 6, 30):
+                ctx = modulus_context(q, t)
+                try:
+                    bud = es._budget(variant, math.exp(lx), t, ctx)
+                except (DomainError, RegimeError):
+                    continue
+                want = dataclasses.replace(error_budget(math.exp(lx), t, ctx),
+                                           stated_bound=bud.stated_bound)
+                for f in dataclasses.fields(es.ErrorBudget):
+                    a, b = getattr(bud, f.name), getattr(want, f.name)
+                    assert a == b or a != a and b != b, (variant, t.y, lx, q, f.name)
+                assert math.isfinite(bud.stated_bound), (variant, t.y, lx, q)
+                checked += 1
+        assert checked >= 3, variant
 
 
 def _x_with_eta(table, eta: float) -> float:

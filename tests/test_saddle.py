@@ -160,6 +160,90 @@ def test_solve_beta_from_log_x(table100):
         solve_beta(None, table100, log_x=0.5)
 
 
+def _beta_nodes_cleared():
+    sd._beta_node.cache_clear()
+    return sd._beta_node
+
+
+def test_beta_start_does_not_depend_on_earlier_solves():
+    # the bracket is a function of (log x, y) alone: the same double after a
+    # sweep of other x on that y, in either order, as on a cleared memo
+    t = build_table(700)
+    lx = 0.31 * t.psi_y
+    _beta_nodes_cleared()
+    first = solve_beta(None, t, log_x=lx)
+    sweep = [float(v) for v in np.linspace(0.02, 0.499, 40) * t.psi_y]
+    for order in (sweep, sweep[::-1]):
+        for other in order:
+            solve_beta(None, t, log_x=other)
+        again = solve_beta(None, t, log_x=lx)
+        assert again.sigma == first.sigma and again.iterations == first.iterations
+
+
+# Newton evaluations per solve over the in-domain points of BETA_GRID, as
+# measured from the node start: 2.83, and 3.06 with the 0.23 node evaluations
+# per solve of a cleared memo.  From the calibrated start alone it is 4.8;
+# with the Hermite slope's sign flipped 4.36, the first bracket index one
+# node low 3.66, and one node per decade 3.15.
+BETA_GRID_ITERATIONS = 2.83
+BETA_GRID = [(y, float(c) * y) for y in (50, 150, 1000, 3000) for c in np.linspace(0.05, 0.55, 45)]
+
+
+def test_beta_grid_newton_evaluations():
+    nodes = _beta_nodes_cleared()
+    iterations = []
+    for y, lx in BETA_GRID:
+        t = build_table(y)
+        if 2.0 * lx >= t.psi_y:
+            continue
+        res = solve_beta(None, t, log_x=lx)
+        assert res.residual <= 1e-13 * max(1.0, lx) / lx, (y, lx)
+        iterations.append(res.iterations)
+    assert len(iterations) >= 150
+    assert sum(iterations) / len(iterations) <= BETA_GRID_ITERATIONS + 0.1
+    assert nodes.cache_info().misses <= 0.3 * len(iterations)
+
+
+@pytest.mark.parametrize("y", [2, 3, 7, 1000, 10**6])
+def test_beta_at_the_ends_of_the_domain(y):
+    # log x = log 2, log x a relative 1e-12 below psi(y)/2, and the double
+    # just below psi(y)/2, where at y = 7 and 1000 both nodes of the bracket
+    # read eta(phi_1) within rounding of 0; at y = 2, psi(2)/2 < log 2
+    # leaves no x >= 2 in the domain
+    t = build_table(y)
+    for lx in (math.log(2.0), t.psi_y / 2.0 * (1.0 - 1e-12), math.nextafter(t.psi_y / 2.0, 0.0)):
+        if lx < math.log(2.0):
+            with pytest.raises(DomainError):
+                solve_beta(None, t, log_x=lx)
+        elif 2.0 * lx >= t.psi_y:
+            with pytest.raises(RegimeError):
+                solve_beta(None, t, log_x=lx)
+        else:
+            _beta_nodes_cleared()
+            res = solve_beta(None, t, log_x=lx)
+            assert res.iterations <= 10, (y, lx)
+            assert res.residual <= 1e-13 * max(1.0, lx) / lx, (y, lx)
+
+
+@pytest.mark.parametrize("y", [10**3, 10**5, 10**6])
+def test_lone_beta_solve_costs_at_most_three_evaluations_more(y):
+    # Newton's evaluations plus the nodes a lone solve evaluates, against
+    # Newton alone from the calibrated start log(1 + eta)/log y
+    t = build_table(y)
+    ser = sd._series(y, ())
+
+    def fdf(s):
+        f1, f2 = sd._phi(s, ser, (1, 2))
+        return f1, -f2
+
+    for lx in (math.log(2.0), 3.0, 50.0, 300.0, t.psi_y / 2.5):
+        nodes = _beta_nodes_cleared()
+        res = solve_beta(None, t, log_x=lx)
+        start = math.log1p(t.psi_y / lx - 2.0) / math.log(y)
+        calibrated = sd._newton(fdf, lx, start, 1e-13 * max(1.0, lx))[3]
+        assert res.iterations + nodes.cache_info().misses <= calibrated + 3, (y, lx)
+
+
 def test_phi1_limit_and_monotone(table100):
     lim = phi1_limit_at_zero(table100)
     assert lim == pytest.approx(table100.psi_y / 2, rel=1e-12)

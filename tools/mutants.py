@@ -39,6 +39,7 @@ PRIMES = "src/ultrafriable/primes.py"
 SADDLE = "src/ultrafriable/saddle.py"
 COUNTING_TESTS = ("tests/test_counting.py",)
 ESTIMATOR_TESTS = ("tests/test_estimators.py",)
+BETA_GRID_TEST = ("tests/test_saddle.py::test_beta_grid_newton_evaluations",)
 TIMEOUT_S = 300  # per pytest run
 
 MUTANTS = (
@@ -111,6 +112,17 @@ MUTANTS = (
      "    return _modulus_context(q, table.y)\n",
      "    return _modulus_context(q, _FIRST_Y.setdefault(q, table.y))\n\n\n"
      "_FIRST_Y: dict = {}\n", ("tests/test_cli.py",)),
+    # a beta start is the cubic Hermite interpolant between two nodes, whose
+    # slopes d log s / d log eta are positive
+    ("Hermite slope's sign flipped", SADDLE,
+     "+ h * t * (1.0 - t) * ((1.0 - t) * m0 - t * m1))",
+     "- h * t * (1.0 - t) * ((1.0 - t) * m0 - t * m1))", BETA_GRID_TEST),
+    # the bracket search starts at the node of the calibrated start, floor(D log10 eta)
+    ("bracket index one node low", SADDLE,
+     "k = math.floor(_NODES_PER_DECADE * math.log10(eta))",
+     "k = math.floor(_NODES_PER_DECADE * math.log10(eta)) - 1", BETA_GRID_TEST),
+    ("nodes per decade halved", SADDLE,
+     "_NODES_PER_DECADE = 2  #", "_NODES_PER_DECADE = 1  #", BETA_GRID_TEST),
     # h_d(s) = prod_{p | d} (1 - p^(-nu_p s)) / (1 - p^(-(nu_p+1) s))
     ("h_d exponent off by one", SADDLE,
      "dnu = np.array(ctx_d.nu_divisors, dtype=np.float64)",
