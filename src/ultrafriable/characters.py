@@ -29,7 +29,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import primes as pr
-from .counting import _INT64_LIMIT, _check_modulus, count_ultrafriable_residues
+from .counting import _check_modulus, count_ultrafriable_residues
 from .errors import DomainError
 
 
@@ -98,10 +98,11 @@ class CharacterGroup:
 
     def unit_counts(self, counts) -> np.ndarray:
         """The residue counts at the unit residues, exact: int64 when their
-        total fits, else an object array of Python ints."""
+        total fits, else an object array of Python ints.  The bound is the
+        literal 2^63, not the divisor engine's lowerable path limit."""
         if counts.q != self.q:
             raise DomainError(f"residue counts are mod {counts.q}, characters mod {self.q}")
-        dtype = np.int64 if counts.total() < _INT64_LIMIT else object
+        dtype = np.int64 if counts.total() < 1 << 63 else object
         return np.array(counts.counts, dtype=dtype)[self.units]
 
     def character_sum(self, counts, chi: "DirichletCharacter") -> complex:

@@ -618,7 +618,7 @@ def count_friable(x, y: int, q: int = 1) -> int:
     q_primes = tuple(sorted(pr.factorize(q)))
     if q_primes and q_primes[-1] > y:
         raise PreconditionError(f"P+(q)={q_primes[-1]} exceeds y={y}")
-    if X == 0:
+    if X == 0 or y < 1:  # P+(n) >= P+(1) = 1 > y for every n
         return 0
     if y < 2:
         return 1  # only n = 1 has no prime factor
@@ -634,7 +634,7 @@ def count_friable_progression(x, y: int, a: int, q: int) -> int:
     """
     X = _friable_bound(x)
     _check_modulus(q)
-    if X == 0:
+    if X == 0 or y < 1:  # P+(n) >= P+(1) = 1 > y for every n
         return 0
     a %= q
     if y >= X:

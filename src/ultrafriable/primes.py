@@ -40,22 +40,17 @@ def sieve_primes(n: int) -> np.ndarray:
     return np.concatenate(([2], odd)).astype(np.int64, copy=False)
 
 
-@lru_cache(maxsize=None)
-def _small_primes(n: int) -> tuple[int, ...]:
-    return tuple(int(p) for p in sieve_primes(n))
-
-
 def nth_prime(k: int) -> int:
-    """The k-th prime (1-indexed), with the convention that k=0 gives 2."""
+    """The k-th prime (1-indexed), with the convention that k=0 gives 2.
+
+    One sieve up to a proven bound: Rosser and Schoenfeld's
+    p_k < k (log k + log log k) for k >= 6, padded by 10 against the
+    rounding of the logs, and 15 > p_5 = 11 for k < 6.
+    """
     if k <= 0:
         return 2
-    # p_k < k (log k + log log k) for k >= 6; pad generously for small k.
     bound = 15 if k < 6 else int(k * (math.log(k) + math.log(math.log(k)))) + 10
-    primes = _small_primes(bound)
-    while len(primes) < k:
-        bound *= 2
-        primes = _small_primes(bound)
-    return primes[k - 1]
+    return int(sieve_primes(bound)[k - 1])
 
 
 def max_exponents(p: np.ndarray, bound: int) -> np.ndarray:

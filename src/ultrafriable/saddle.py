@@ -116,12 +116,12 @@ class _Series:
     second, so s * z1 holds every (w, W) of D_j(w, nu_p + 1) =
     M_j(w) - (nu_p+1)^j M_j(W).  With the signed weights
     c[j] = ((log p)^j, -((nu_p + 1) log p)^j), phi_j(s) is the dot product
-    of c[j] with M_j(s * z1).
+    of c[j] with M_j(s * z1).  With no primes both are empty, and every
+    phi_j is 0.0.
     """
 
     z1: np.ndarray
     c: dict[int, np.ndarray]
-    half_psi: float  # phi_1(0+) = sum nu_p log p / 2
 
 
 @lru_cache(maxsize=256)
@@ -141,7 +141,7 @@ def _series(y: int, q_primes: tuple[int, ...], coprime: bool = True) -> _Series:
     c = {j: sign * z1**j for j in (1, 2, 3, 4)}
     for arr in (z1, *c.values()):
         arr.flags.writeable = False
-    return _Series(z1=z1, c=c, half_psi=float(np.dot(t, nu) / 2.0))
+    return _Series(z1=z1, c=c)
 
 
 def _q_primes(ctx: pr.ModulusContext | None) -> tuple[int, ...]:
@@ -201,7 +201,7 @@ def phi1(sigma: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext | None 
 
 def phi1_limit_at_zero(table: pr.PrimePowerTable, ctx: pr.ModulusContext | None = None) -> float:
     """phi_1(0+, y) = psi_q(y) / 2."""
-    return _series(table.y, _q_primes(ctx)).half_psi
+    return (table.psi_y if ctx is None else pr.psi_q(table, ctx)) / 2.0
 
 
 def phi_j_q(j: int, s: float, table: pr.PrimePowerTable,
@@ -543,9 +543,6 @@ class ArithmeticFactors:
     h_d: float | None = None
 
 
-_GAMMA_CROSSOVER = 1e-6  # use the s -> 0 limits below s * log y < this
-
-
 def g_q(s: float, ctx: pr.ModulusContext, table: pr.PrimePowerTable) -> float:
     """g_q(s) = prod_{p | q, p <= y} (1 - p^{-s}) / (1 - p^{-(nu_p+1)s}) alone,
     without the phi_j pass that ``arithmetic_factors`` makes for gamma_q', gamma_q''."""
@@ -561,21 +558,20 @@ def g_q(s: float, ctx: pr.ModulusContext, table: pr.PrimePowerTable) -> float:
 
 def arithmetic_factors(s: float, ctx: pr.ModulusContext, table: pr.PrimePowerTable,
                        d: int | None = None) -> ArithmeticFactors:
-    """g_q, f_q, gamma_q', gamma_q'' (and h_d for a squarefree divisor d | q)."""
+    """g_q, f_q, gamma_q', gamma_q'' (and h_d for a squarefree divisor d | q).
+
+    gamma_q' = (log g_q)' and gamma_q'' = (log g_q)'' are phi_1 and -phi_2
+    of the series of the primes of q, read from the kernel ``_phi`` at every
+    s > 0.  Its pole-free Bernoulli branch keeps them exact as s -> 0, where
+    its constant terms are the limits, over p | q, sum nu_p log p / 2 and
+    -sum nu_p (nu_p + 2) (log p)^2 / 12.  For q = 1 the series is empty:
+    f_q = 1.0 and both gammas are 0.0.
+    """
     g = g_q(s, ctx, table)  # checks s > 0 and P+(q) <= y
-    if not ctx.prime_divisors:
-        f = 1.0
-        g1 = g2 = 0.0
-    else:
-        ser = _series(table.y, ctx.prime_divisors, coprime=False)
-        f = float(np.prod(-np.expm1(-s * ser.z1[:len(ser.z1) // 2])))
-        if s * math.log(table.y) < _GAMMA_CROSSOVER:
-            g1 = ser.half_psi
-            # sum c[2] = sum (log p)^2 (1 - (nu_p+1)^2) = -sum nu_p (nu_p+2) (log p)^2
-            g2 = float(np.sum(ser.c[2])) / 12.0
-        else:
-            g1, g2 = _phi(s, ser, (1, 2))
-            g2 = -g2
+    ser = _series(table.y, ctx.prime_divisors, coprime=False)
+    f = float(np.prod(-np.expm1(-s * ser.z1[:len(ser.z1) // 2])))
+    g1, g2 = _phi(s, ser, (1, 2))
+    g2 = 0.0 - g2  # not -g2, which makes the empty series' 0.0 a -0.0
     h = None
     if d is not None:
         ctx_d = pr.modulus_context(d, table)

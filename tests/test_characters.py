@@ -401,3 +401,21 @@ def test_odd_prime_power_generators_have_full_order():
             assert order == p**e - p ** (e - 1)
             assert _has_full_order(g, order, p**e), (p, e, g)
             e += 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: character_group(7).unit_counts(count_ultrafriable_residues(100, t, 5)),
+     "residue counts are mod 5, characters mod 7"),
+    (lambda t: w_q(0.0, 0.0, t, modulus_context(5, t), enumerate_characters(5)[1]),
+     "need beta > 0, got 0.0"),
+    (lambda t: d_sum(1.0, -0.5, 10, enumerate_characters(5)[1]), "need beta > 0, got -0.5"),
+    (lambda t: s_sum(1.0, 0, 10, enumerate_characters(5)[1]), "need beta > 0, got 0"),
+])
+def test_characters_input_checks(table10, call, message):
+    with pytest.raises(DomainError) as ei:
+        call(table10)
+    assert str(ei.value) == message
+
+
+def test_character_sums_from_no_characters(table10):
+    assert character_sums_from_residues(count_ultrafriable_residues(100, table10, 5), []) == []

@@ -892,3 +892,38 @@ def test_count_rows_per_class_match_the_oracle(capsys, kind):
     for r in rows:
         assert r["status"] == "ok"
         assert r["exact_value_or_log"] == str(naive_oracle(5000, 30, a=int(r["a"]), q=12, mode=kind))
+
+
+def test_friable_rows_below_y_2(capsys):
+    # no n is y-friable for y < 1; for y = 1 only n = 1 is, in the class of 1
+    code, out = run_cli(["count", "--variant", "friable", "--x", "10", "--y-grid=-3,0,1",
+                         "--a-grid", "0,1", "--q", "3"], capsys)
+    assert code == 0
+    rows = [dict(zip(COLUMNS, line.split(","))) for line in out.strip().splitlines()[1:]]
+    got = [(r["y"], r["a"], r["exact_value_or_log"], r["status"]) for r in rows]
+    assert got == [("-3", "0", "0", "ok"), ("-3", "1", "0", "ok"), ("0", "0", "0", "ok"),
+                   ("0", "1", "0", "ok"), ("1", "0", "0", "ok"), ("1", "1", "1", "ok")]
+    _, out = run_cli(["count", "--x", "10", "--y", "0", "--variant", "friable"], capsys)
+    assert dict(zip(COLUMNS, out.strip().splitlines()[1].split(",")))["exact_value_or_log"] == "0"
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["count", "--x", "100", "--y", "10", "--out", "{tmp}/missing/rows.csv"], 1, "I/O error: "),
+    (["estimate", "--x", "e30", "--y", "100", "--c1", "abc"], 2,
+     "--c1: need a finite c1 > 0, got 'abc'"),
+])
+def test_cli_exit_codes(tmp_path, capsys, args, code, err):
+    argv = [a.format(tmp=tmp_path) for a in args]
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code and captured.out == ""
+    assert err in captured.err
+
+
+def test_compute_row_refuses_an_unknown_mode():
+    with pytest.raises(ValueError) as ei:
+        compute_row({"mode": "bogus", "x": 100, "y": 10})
+    assert str(ei.value) == "unknown mode 'bogus'"

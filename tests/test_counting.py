@@ -1023,3 +1023,36 @@ def test_large_modulus_vector_sums_to_plain_and_coprime_counts(table50, q):
         assert rc[0] == 0 and rc.coprime_total() == rc.total()
     else:
         assert rc.coprime_total() == count_ultrafriable(x, table50, modulus_context(q, table50))
+
+
+@pytest.mark.parametrize("y", [-3, 0, 1])
+def test_friable_counts_below_y_2_match_oracle(y):
+    # no n is y-friable for y < 1, since P+(1) = 1; for y = 1 only n = 1 is
+    for x in (0, 1, 2, 10, 1396):
+        assert count_friable(x, y) == naive_oracle(x, y, mode="friable"), (x, y)
+        for q in (1, 2, 6, 7):
+            classes = [count_friable_progression(x, y, a, q) for a in range(q)]
+            assert classes == [naive_oracle(x, y, a=a, q=q, mode="friable") for a in range(q)]
+            coprime = sum(c for a, c in enumerate(classes) if math.gcd(a, q) == 1)
+            assert coprime == naive_oracle(x, y, q=q, mode="friable"), (x, y, q)
+            if q == 1:
+                assert count_friable(x, y, q) == coprime
+            else:  # P+(q) > y
+                with pytest.raises(PreconditionError):
+                    count_friable(x, y, q)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda t: count_ultrafriable(math.nan, t), DomainError, "bound must be finite, got nan"),
+    (lambda t: count_ultrafriable(math.inf, t), DomainError, "bound must be finite, got inf"),
+    (lambda t: count_friable(-math.inf, 10), DomainError, "bound must be finite, got -inf"),
+    (lambda t: count_ultrafriable_below(-1, t), DomainError, "need num >= 0 and den >= 1"),
+    (lambda t: count_ultrafriable_below(10, t, den=0), DomainError, "need num >= 0 and den >= 1"),
+    (lambda t: naive_oracle(10, 5, mode="smooth"), DomainError, "unknown oracle mode 'smooth'"),
+    (lambda t: naive_oracle(10, 5, a=1), DomainError, "a requires a modulus q >= 1"),
+    (lambda t: naive_oracle(10, 5, a=1, q=0), DomainError, "a requires a modulus q >= 1"),
+])
+def test_counting_input_checks(table10, call, error, message):
+    with pytest.raises(error) as ei:
+        call(table10)
+    assert str(ei.value) == message

@@ -535,3 +535,15 @@ def test_meaningless_c1_is_a_domain_error(table100, c1):
                  lambda: t3_bound(x, table100, ctx, enumerate_characters(7)[1], c1=c1)):
         with pytest.raises(DomainError, match="c1"):
             call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda t: estimate_progression(1e6, t, modulus_context(7, t), 3, "T1i"), DomainError,
+     "unknown variant 'T1i'"),
+    (lambda t: t3_bound(1e30, t, modulus_context(7, t), enumerate_characters(7)[1]), RegimeError,
+     "the character-sum bound needs the saddle domain psi(y) > 2 log x"),
+])
+def test_estimator_input_checks(table100, call, error, message):
+    with pytest.raises(error) as ei:
+        call(table100)
+    assert str(ei.value) == message

@@ -2,6 +2,8 @@ import math
 import random
 import time
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from ultrafriable import (
     modulus_context,
     tau_N,
 )
+from ultrafriable import primes as pr
 from ultrafriable.primes import factorize, max_exponents, nth_prime, psi_q, sieve_primes
 
 
@@ -226,3 +229,23 @@ def test_classify_regime_examples(table100):
     tag = classify_regime(10**6, build_table(10))
     assert tag.kind == "OUT_OF_DOMAIN"
     assert not tag.small_y and not tag.large_y
+
+
+def test_nth_prime_is_the_kth_entry_of_one_sieve():
+    # p_k < k (log k + log log k) for k >= 6 and p_5 = 11 < 15: the one sieve up to
+    # nth_prime's bound always reaches p_k.  The sieve it calls hands out prefixes of
+    # one list, so every k up to 10^5 costs a slice, not a sieve.
+    primes = sieve_primes(1_400_000)
+    asked = []
+
+    def prefix(n):
+        asked.append(n)
+        return primes[: primes.searchsorted(n, "right")]
+
+    with mock.patch.object(pr, "sieve_primes", prefix):
+        got = [nth_prime(k) for k in range(1, 10**5 + 1)]
+    assert max(asked) <= primes[-1] and len(primes) > 10**5
+    assert got == primes[: 10**5].tolist()
+    assert [nth_prime(k) for k in range(-2, 12)] == \
+        [2, 2, 2, 2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    assert nth_prime(10**5) == 1299709

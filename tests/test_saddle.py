@@ -470,12 +470,47 @@ def test_factors_q1(table10):
     assert f.gamma1_q == 0.0 and f.gamma2_q == 0.0
 
 
+def log_g_derivatives(s, table, q_primes):
+    """(log g_q)'(s) and (log g_q)''(s) by mpmath differentiation at 50 digits."""
+    nu = {p: table.nu_of(p) for p in q_primes}
+
+    def log_g(t):
+        return mp.fsum(mp.log((1 - mp.power(p, -t)) / (1 - mp.power(p, -(n + 1) * t)))
+                       for p, n in nu.items())
+
+    with mp.workdps(50):
+        return float(mp.diff(log_g, mp.mpf(s), 1)), float(mp.diff(log_g, mp.mpf(s), 2))
+
+
 def test_gamma_limits_q12_y10(table10):
+    # at s = 1e-8 the limits are 6.6e-9 off the true gammas, which the kernel gives;
+    # at s = 1e-14 the kernel's constant terms, the limits, are all that is left
     ctx = modulus_context(12, table10)
     f = arithmetic_factors(1e-8, ctx, table10)
-    assert f.gamma1_q == pytest.approx(0.5 * (3 * math.log(2) + 2 * math.log(3)), rel=1e-9)
+    g1, g2 = log_g_derivatives(1e-8, table10, (2, 3))
+    assert f.gamma1_q == pytest.approx(g1, rel=1e-12)
+    assert f.gamma2_q == pytest.approx(g2, rel=1e-12)
+    f = arithmetic_factors(1e-14, ctx, table10)
+    assert f.gamma1_q == pytest.approx(0.5 * (3 * math.log(2) + 2 * math.log(3)), rel=1e-13)
     expect_g2 = -(3 * 5 * math.log(2) ** 2 + 2 * 4 * math.log(3) ** 2) / 12
-    assert f.gamma2_q == pytest.approx(expect_g2, rel=1e-9)
+    assert f.gamma2_q == pytest.approx(expect_g2, rel=1e-13)
+
+
+@pytest.mark.parametrize("y, q", [(10, 12), (100, 30), (1000, 210)])
+def test_gamma_against_mpmath_at_every_s(y, q):
+    # s log y on both sides of 1e-6, where the s -> 0 limits once stood in for the kernel
+    table = build_table(y)
+    ctx = modulus_context(q, table)
+    one = modulus_context(1, table)
+    for v in (1e-14, 1e-8, 0.999e-6, 1e-6, 1e-2, 1.0, 5.0):
+        s = v / math.log(y)
+        f = arithmetic_factors(s, ctx, table)
+        g1, g2 = log_g_derivatives(s, table, ctx.prime_divisors)
+        assert abs(f.gamma1_q - g1) <= 1e-12 * abs(g1), (y, q, v)
+        assert abs(f.gamma2_q - g2) <= 1e-12 * abs(g2), (y, q, v)
+        f1 = arithmetic_factors(s, one, table)
+        assert (f1.g_q, f1.f_q, f1.gamma1_q, f1.gamma2_q) == (1.0, 1.0, 0.0, 0.0)
+        assert math.copysign(1.0, f1.gamma2_q) == 1.0  # 0.0, not -0.0
 
 
 def test_g_q_explicit_value(table10):
@@ -487,7 +522,7 @@ def test_g_q_explicit_value(table10):
 
 
 def test_g_q_alone_is_the_factors_g_q(table100):
-    # s * log p on both sides of _SERIES_CUT, and below the gamma crossover
+    # s * log p on both sides of _SERIES_CUT, down to s = 1e-8
     entries = {p: nu for p, nu, _ in table100.entries}
     for q in (1, 2, 6, 30, 210):
         ctx = modulus_context(q, table100)
@@ -610,3 +645,18 @@ def test_G_against_mpmath_erfcx():
     for z in (1e2, 1e4, 1e8, 1e100):
         lead = z * math.sqrt(2 * math.pi) * gaussian_G(z)
         assert 0.0 <= 1.0 - lead <= 1.0 / z**2 + 1e-15, z
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: phi_j_q(0, 1.0, t), "need 1 <= j <= 4, got 0"),
+    (lambda t: phi_j_q(5, 1.0, t), "need 1 <= j <= 4, got 5"),
+    (lambda t: phi_j_q(2, 0.0, t), "need s > 0, got 0.0"),
+    (lambda t: phi_j_q(1, -1.0, t), "need s > 0, got -1.0"),
+    (lambda t: solve_beta(1.5, t), "need x >= 2, got 1.5"),
+    (lambda t: solve_alpha(100, 1), "need y >= 2, got 1"),
+    (lambda t: solve_alpha(5, 10), "need x >= y, got x=5, y=10"),
+])
+def test_saddle_input_checks(table10, call, message):
+    with pytest.raises(DomainError) as ei:
+        call(table10)
+    assert str(ei.value) == message

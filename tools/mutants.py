@@ -123,6 +123,19 @@ MUTANTS = (
      "k = math.floor(_NODES_PER_DECADE * math.log10(eta)) - 1", BETA_GRID_TEST),
     ("nodes per decade halved", SADDLE,
      "_NODES_PER_DECADE = 2  #", "_NODES_PER_DECADE = 1  #", BETA_GRID_TEST),
+    # gamma_q'' = (log g_q)'' is -phi_2 of the primes of q, never positive
+    ("gamma_q'' sign kept", SADDLE,
+     "    g2 = 0.0 - g2  # not -g2, which makes the empty series' 0.0 a -0.0\n", "",
+     ("tests/test_saddle.py::test_g_q_range_and_gamma_signs",)),
+    # no n is y-friable for y < 1: P+(1) = 1 > y
+    ("friable y < 1 guard made y < 0", COUNTING,
+     "or y < 1:  # P+(n) >= P+(1) = 1 > y for every n\n        return 0\n    if y < 2:",
+     "or y < 0:  # P+(n) >= P+(1) = 1 > y for every n\n        return 0\n    if y < 2:",
+     ("tests/test_counting.py::test_friable_counts_below_y_2_match_oracle",)),
+    # p_5 = 11: nth_prime's one sieve must reach it below k = 6
+    ("nth_prime small-k bound below p_5", PRIMES,
+     "bound = 15 if k < 6", "bound = 10 if k < 6",
+     ("tests/test_primes.py::test_nth_prime_is_the_kth_entry_of_one_sieve",)),
     # h_d(s) = prod_{p | d} (1 - p^(-nu_p s)) / (1 - p^(-(nu_p+1) s))
     ("h_d exponent off by one", SADDLE,
      "dnu = np.array(ctx_d.nu_divisors, dtype=np.float64)",
