@@ -33,8 +33,8 @@ bounds 1 <= X < 2^63:
   sweep over blocks of (bound, class) cells counts each prefix per class r
   (a ``bincount`` and a cumsum per block) and folds the counts into class
   r * v mod q, in int32, as every (v mod q) * r < q^2 <= RESIDUE_Q_BOUND^2
-  = 10^8 < 2^31; when there are no more pairs than cells (or than
-  ``_DIRECT_PAIRS`` per class), the products are listed and binned instead.
+  = 10^8 < 2^31; when there are no more pairs than cells, the products
+  are listed and binned instead.
 
 A half's list is built from its own two halves in the same way, down to
 leaf rows: one row, or rows with at most ``_DIRECT_TAU`` divisors.  Which
@@ -77,7 +77,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, cycle
 
 import numpy as np
 
@@ -90,7 +90,6 @@ ORACLE_X_BOUND = 10**7
 LIST_CAP = 1 << 25  # entries of one divisor list
 _DIRECT_TAU = 1 << 12  # rows with at most this many divisors are listed directly
 _BLOCK = 1 << 20  # entries per block of a temporary array
-_DIRECT_PAIRS = 1 << 8  # pairs per class binned even where the class sweep has fewer cells
 _CELLS = 1 << 15  # (bound, class) cells per block of the class sweep
 _INT64_LIMIT = 1 << 63
 SPLIT_CAP = 1 << 12  # sub-bounds one plain count may plan past 2^63
@@ -131,15 +130,16 @@ def _all_divisors(rows) -> np.ndarray:
     extended a prime at a time: the list d times p^0..p^nu in one outer
     product while d[-1] * p^nu < 2^63, and otherwise each power p^e times
     the prefix of d below 2^63 / p^e, in one indexed product.  No product
-    past 2^63 is formed.  Listed once per process and shared by every bound
-    and engine.
+    past 2^63 is formed.  Every row has p^nu <= max(y, x) <= 10^9; a row
+    past 2^63 would raise OverflowError, never lose divisors.  Listed once
+    per process and shared by every bound and engine.
     The bound is the literal 2^63 - 1, not ``_INT64_LIMIT``, so that a list
     cached while that limit is lowered still holds every divisor.
     """
     top = (1 << 63) - 1
     d = np.ones(1, dtype=np.int64)
     for p, nu in reversed(rows):
-        pw = np.array([p ** e for e in range(nu + 1) if p ** e <= top], dtype=np.int64)
+        pw = np.array([p ** e for e in range(nu + 1)], dtype=np.int64)
         if int(d[-1]) * p ** nu <= top:
             d = np.multiply.outer(pw, d).ravel()
         else:
@@ -157,8 +157,8 @@ def _split(rows) -> tuple[tuple, tuple]:
     smaller one going to A and to B in turn: this balances the two lists far
     better than A B A B, which gave the half holding 2 twice the entries.
     """
-    return (tuple(r for i, r in enumerate(rows) if i % 4 in (0, 3)),
-            tuple(r for i, r in enumerate(rows) if i % 4 in (1, 2)))
+    return (tuple(compress(rows, cycle((1, 0, 0, 1)))),
+            tuple(compress(rows, cycle((0, 1, 1, 0)))))
 
 
 class _Plan:
@@ -293,16 +293,14 @@ def _residue_pairs(A: np.ndarray, B: np.ndarray, X: int, q: int) -> np.ndarray:
 
     The two sides of ``_pair_sides`` are one prefix sweep each, and fill
     (len(A <= sqrt(X)) + len(B <= sqrt(X))) * q cells.  When there are no
-    more pairs than max(``_DIRECT_PAIRS``, that length) * q, that is fewer
-    pairs than cells, or so few that the sweep's fixed cost of some dozen
-    numpy calls a block would dominate, the products are listed and binned
-    instead.  At q = 1 the answer is the sum of the ends.
+    more pairs than cells, the products are listed and binned instead.  At
+    q = 1 the answer is the sum of the ends.
     """
     sides = _pair_sides(A, B, X)
     pairs = sum(int(ends.sum()) for _, _, ends in sides)
     if q == 1:
         return np.array([pairs])
-    if pairs > _DIRECT_PAIRS * q and pairs > sum(len(V) for V, _, _ in sides) * q:
+    if pairs > sum(len(V) for V, _, _ in sides) * q:
         return sum(_class_pairs(*side, q) for side in sides)
     out = np.zeros(q, dtype=np.int64)
     for block in _product_blocks(sides):
@@ -647,8 +645,8 @@ def count_friable_progression(x, y: int, a: int, q: int) -> int:
 # the naive sieve oracle
 # ---------------------------------------------------------------------------
 
-# the oracle's sieve size; it only grows, so a smaller x slices the last build
-_oracle_cap = 1000
+# the sieve size; from 2^20 (x <= 10^6 in one build) it only grows, and a smaller x slices it
+_oracle_cap = 1 << 20
 
 
 @lru_cache(maxsize=1)

@@ -3,7 +3,7 @@
 Everything downstream (exact counting, Dirichlet series, estimators) is a
 function of the primes p <= y together with the largest exponent nu_p such
 that p^nu_p <= y.  The exponents (``max_exponents``) start from the float
-floor of ``log y / log p``, which is off by at most one, and are corrected
+floor of ``log y / log p``, which is exact or one low, and are corrected up
 exactly in integers, so boundary cases like y = p^k are handled correctly.
 """
 
@@ -56,14 +56,14 @@ def nth_prime(k: int) -> int:
 def max_exponents(p: np.ndarray, bound: int) -> np.ndarray:
     """The largest e with p^e <= bound for each prime of the int64 array p.
 
-    The float floor of log(bound) / log(p), off by at most one, is corrected
-    up or down by one in int64.  That is exact for primes p <= bound <=
-    3 * 10^9: no power formed exceeds p^(e+2) <= bound * p^2 for p^2 <= bound,
-    or p^3 for the larger p, so none exceeds bound^2 < 2^63.
+    The float floor of log(bound) / log(p) is exact or one low, and is
+    corrected up in int64.  It is never high for primes p <= bound <= 3 * 10^9:
+    the quotient is monotone in bound, and at bound = p^k - 1 it is below k
+    by log(1 / (1 - p^-k)) / log(p) > 10^-11, far past the float error.  The
+    one power formed, p^(e+1) <= p * bound <= bound^2 < 2^63, fits int64.
     """
     e = (math.log(bound) / np.log(p)).astype(np.int64)
     e += p ** (e + 1) <= bound
-    e -= p ** e > bound
     return e
 
 

@@ -401,6 +401,20 @@ def test_oracle_sieve_stops_at_bound(monkeypatch):
         naive_oracle(5001, 30)
 
 
+def test_oracle_sieve_built_once_up_to_10_6():
+    # the sieve starts at 2^20, so every oracle x <= 10^6 shares its first build
+    root = Path(__file__).resolve().parents[1]
+    code = ("from ultrafriable import counting as ct\n"
+            "for k in range(1, 7):\n"
+            "    ct.naive_oracle(10**k, 30)\n"
+            "print(ct._oracle_arrays.cache_info().misses)\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1"
+
+
 def test_oracle_against_per_n_loop():
     """naive_oracle's sliced sieve against factorising every n <= 2000."""
     checkpoints = {1, 2, 6, 29, 30, 31, 997, 1999, 2000}
@@ -739,13 +753,13 @@ def test_one_row_is_a_leaf_below_its_divisor_count():
 @settings(max_examples=10, deadline=None)
 @given(tau=st.sampled_from((2, 32, 4096)), limit=st.sampled_from((50, 5000, 1 << 63)),
        cells=st.sampled_from((5, 1 << 15)), block=st.sampled_from((64, 1 << 20)),
-       pairs=st.sampled_from((0, 256)), pick=st.randoms(use_true_random=True))
-def test_path_knobs_together_match_oracle(tau, limit, cells, block, pairs, pick):
+       pick=st.randoms(use_true_random=True))
+def test_path_knobs_together_match_oracle(tau, limit, cells, block, pick):
     # every module constant that picks an engine path, drawn with the point:
     # a leaf of one row whatever _DIRECT_TAU is, the split past a lowered
-    # int64 limit, class sweeps in tiny blocks and no direct binning.  The
-    # point is uniform: the split needs x well above the limit, and y on
-    # both sides of sqrt(x) takes heads with and without Buchstab's tail.
+    # int64 limit, and class sweeps in tiny blocks.  The point is uniform:
+    # the split needs x well above the limit, and y on both sides of sqrt(x)
+    # takes heads with and without Buchstab's tail.
     # At limit 50 a class plan past y = 89 passes SPLIT_CAP sub-bounds, a
     # refusal tested on its own, so y stops there.
     x, y = pick.randrange(10**6), pick.randrange(2, 90 if limit == 50 else 2001)
@@ -753,7 +767,7 @@ def test_path_knobs_together_match_oracle(tau, limit, cells, block, pairs, pick)
     t = build_table(y)
     ctx = modulus_context(q, t)
     with mock.patch.multiple(ct, _DIRECT_TAU=tau, _INT64_LIMIT=limit, SPLIT_CAP=1 << 17,
-                             _CELLS=cells, _BLOCK=block, _DIRECT_PAIRS=pairs):
+                             _CELLS=cells, _BLOCK=block):
         # nothing listed or counted at the real knobs, and no engine's split
         # plan made under the real _DIRECT_TAU (the plans live in the engines)
         for cache in (ct._all_divisors, ct._class_vector, ct._counter):
@@ -767,6 +781,23 @@ def test_path_knobs_together_match_oracle(tau, limit, cells, block, pairs, pick)
     assert friable == [naive_oracle(x, y, a=a, q=q, mode="friable") for a in range(q)]
     assert plain == naive_oracle(x, y, q=q if ctx.p_plus_le_y else None)
     assert smooth == naive_oracle(x, y, q=q if ctx.p_plus_le_y else None, mode="friable")
+
+
+def _dealt(rows):
+    """The deal A B B A A B B A ... by position, one row at a time."""
+    return (tuple(r for i, r in enumerate(rows) if i % 4 in (0, 3)),
+            tuple(r for i, r in enumerate(rows) if i % 4 in (1, 2)))
+
+
+def test_split_deals_rows_a_b_b_a():
+    t = build_table(1_300_000)
+    rows = tuple(zip(t.p_arr[:10**5].tolist(), t.nu_arr[:10**5].tolist()))
+    assert len(rows) == 10**5
+    for case in [rows[:n] for n in range(10)] + [rows]:
+        left, right = ct._split(case)
+        assert (left, right) == _dealt(case)
+        assert list(left) == sorted(left) and list(right) == sorted(right)
+        assert not set(left) & set(right) and sorted(left + right) == list(case)
 
 
 def test_a_warm_engine_splits_no_rows():
@@ -959,20 +990,23 @@ def test_class_pairs_match_binned_products(q):
                 assert got == want, (X, floor, cells, block)
 
 
-@pytest.mark.parametrize("y, lx, q", [(100, 24, 30), (100, 22, 210), (100, 26, 1009)])
+@pytest.mark.parametrize("y, lx, q", [(100, 24, 30), (100, 22, 210), (100, 26, 1009),
+                                      (100, 12, 210), (100, 14, 1009)])
 def test_residue_pairs_same_on_both_sides_of_the_binning_threshold(y, lx, q):
+    # the class count sweeps where there are more pairs than (row, class)
+    # cells and bins the listed products otherwise: the half lists at e^12
+    # mod 210 and e^14 mod 1009 have fewer pairs than cells, the rest more.
+    # Either way it equals the sweep of each side, and the binned product list
     rows = ct.get_residue_counter(build_table(y), q).rows
     X = int(math.exp(lx))
     A, B = ct._halves(ct._Plan(rows), X)
-    pairs = ct._residue_pairs(A, B, X, 1)[0]
-    vectors = []
-    for direct, swept in ((pairs // q + 1, False), (0, True)):
-        with mock.patch.object(ct, "_DIRECT_PAIRS", direct), \
-                mock.patch.object(ct, "_class_pairs", wraps=ct._class_pairs) as sweep:
-            vectors.append(ct._residue_pairs(A, B, X, q).tolist())
-        assert sweep.called == swept
-    assert vectors[0] == vectors[1]
-    assert sum(vectors[0]) == pairs
+    with mock.patch.object(ct, "_class_pairs", wraps=ct._class_pairs) as sweep:
+        got = ct._residue_pairs(A, B, X, q).tolist()
+    assert sweep.called == (lx > 14)
+    swept = sum(ct._class_pairs(*side, q) for side in ct._pair_sides(A, B, X))
+    assert got == swept.tolist()
+    assert got == np.bincount(ct._pair_products(A, B, X) % q, minlength=q).tolist()
+    assert sum(got) == ct._residue_pairs(A, B, X, 1)[0]
 
 
 @pytest.mark.parametrize("q", [1, 7, 210])
@@ -991,9 +1025,10 @@ def test_pair_sides_match_brute_force(q):
             want = _binned_pairs(P, Q, X, q)
             products = np.multiply.outer(P, Q).ravel()
             assert ct._pair_products(P, Q, X).tolist() == sorted(products[products <= X].tolist())
-            for direct in (0, 1 << 40):  # swept where it can be, and always binned
-                with mock.patch.object(ct, "_DIRECT_PAIRS", direct):
-                    assert ct._residue_pairs(P, Q, X, q).tolist() == want, (X, direct)
+            # the path the rule picks, and the sweep of each side
+            assert ct._residue_pairs(P, Q, X, q).tolist() == want, X
+            swept = sum(ct._class_pairs(*side, q) for side in ct._pair_sides(P, Q, X))
+            assert swept.tolist() == want, X
 
 
 @seed(14)
@@ -1001,12 +1036,11 @@ def test_pair_sides_match_brute_force(q):
 @given(q=st.sampled_from((3, 4, 12, 30, 49, 210, 997)), y=st.integers(min_value=2, max_value=89),
        x=st.integers(min_value=0, max_value=10**6 - 1), sweep=st.booleans())
 def test_class_vectors_match_oracle_at_oracle_scale(q, y, x, sweep):
-    # every class a mod q of both class counts; with sweep, the products are
-    # never binned where the sweep fills fewer cells, and its blocks are 16 rows
+    # every class a mod q of both class counts; with sweep, the class sweep's
+    # blocks are 16 rows, the fewest allowed
     t = build_table(y)
     ct._class_vector.cache_clear()
-    with mock.patch.object(ct, "_DIRECT_PAIRS", 0 if sweep else ct._DIRECT_PAIRS), \
-            mock.patch.object(ct, "_CELLS", 1 if sweep else ct._CELLS):
+    with mock.patch.object(ct, "_CELLS", 1 if sweep else ct._CELLS):
         ultra = count_ultrafriable_residues(x, t, q).counts
         friable = [count_friable_progression(x, y, a, q) for a in range(q)]
     assert list(ultra) == [naive_oracle(x, y, a=a, q=q) for a in range(q)]

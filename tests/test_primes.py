@@ -87,6 +87,17 @@ def test_max_exponents_brute_force(bound):
     assert max_exponents(p, bound).tolist() == [brute_nu(int(v), bound) for v in p]
 
 
+def test_max_exponents_at_every_prime_power_up_to_3e9():
+    # the float floor is at most one low and never high, so one upward step
+    # makes it exact; p^k - 1 is where it could overshoot, p^k where it undershoots
+    for p in sieve_primes(math.isqrt(3 * 10**9 + 1)).tolist():
+        pk = p * p
+        while pk <= 3 * 10**9 + 1:
+            for bound in (pk - 1, pk, pk + 1):
+                assert max_exponents(np.array([p]), bound)[0] == brute_nu(p, bound), (p, bound)
+            pk *= p
+
+
 def test_nu_invariant_random():
     rng = random.Random(20250809)
     for _ in range(25):

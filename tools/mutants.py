@@ -82,6 +82,9 @@ MUTANTS = (
     # a prime of q above sqrt(x) divides no n coprime to q: it leaves Buchstab's tail
     ("tail keeps the large primes of q", COUNTING,
      "            tail = tail[tail != r]\n", "            pass\n", COUNTING_TESTS),
+    # the halves deal every row, A B B A A B B A ...: a row dealt to neither drops its divisors
+    ("a row dropped from the halves", COUNTING,
+     "cycle((1, 0, 0, 1))", "cycle((1, 0, 0, 0))", COUNTING_TESTS),
     # every class r * v of the sweep's fold is reduced mod q, in int32
     ("class fold's remainder mod 2q", COUNTING,
      "folded -= folded // q * q", "folded -= folded // (2 * q) * (2 * q)", COUNTING_TESTS),
