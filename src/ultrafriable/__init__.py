@@ -25,6 +25,7 @@ from .counting import (
     count_ultrafriable,
     count_ultrafriable_below,
     count_ultrafriable_residues,
+    count_ultrafriable_progression,
     count_friable,
     count_friable_progression,
     character_sum,
@@ -82,7 +83,8 @@ __all__ = [
     "PrimePowerTable", "ModulusContext", "RegimeTag", "build_table",
     "modulus_context", "classify_regime", "tau_N", "N_q", "psi_q",
     "ResidueCounts", "count_ultrafriable", "count_ultrafriable_below",
-    "count_ultrafriable_residues", "count_friable", "count_friable_progression",
+    "count_ultrafriable_residues", "count_ultrafriable_progression", "count_friable",
+    "count_friable_progression",
     "character_sum", "naive_oracle",
     "SaddleResult", "ArithmeticFactors", "xi", "solve_beta", "solve_alpha",
     "phi1", "phi_j_q", "log_Z_q", "arithmetic_factors", "gaussian_G",

@@ -156,7 +156,7 @@ def _dispatch(spec: dict, row: dict):
             if a is None:
                 n = ct.count_ultrafriable(x, table, pr.modulus_context(q, table))
             else:
-                n = ct.count_ultrafriable_residues(x, table, q)[a]
+                n = ct.count_ultrafriable_progression(x, table, a, q)
         row["exact_value_or_log"] = _fmt_count(n)
         return
 

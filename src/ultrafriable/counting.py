@@ -54,7 +54,7 @@ allocated, and a list longer than ``LIST_CAP`` (2^25 entries, 256 MB of
 int64) raises ResourceError.  Every product formed in a pair is at most X,
 and in a leaf below 2^63, so none overflows int64.
 
-``classes_le(bound, q)`` is the engine's one query; ``count_le(bound)`` is
+``classes_le(bound, q)`` is the engine's query; ``count_le(bound)`` is
 ``classes_le(bound, 1)[0]``.  ``_split_plan`` plans it from integer bounds
 before any list is built, against the prefix products N_k of rows[:k]; it
 forms them once, up to the first past bound^2, as no test needs more.  A
@@ -67,6 +67,21 @@ p^e mod q; over ``SPLIT_CAP`` (2^12) sub-bounds raise ResourceError.
 Sub-bounds on rows[:k] share one pair of half lists, built at the largest.
 Real bounds are floored once on entry (counts are step functions of x); a
 negative bound is a DomainError.
+
+One class alone, ``class_le(bound, a, q)``, runs on the same plans, trees
+and half lists.  A leaf (sign, k, b, m) adds nothing when g = gcd(m, q)
+does not divide a, and otherwise counts the divisors of rows[:k] in the
+class (a/g) * (m/g)^-1 mod q/g.  A side (V, P, ends) counts only the cells
+that class needs: the u in P[:end] with v * u ≡ a, which are the g =
+gcd(v, q) classes solving it, or none when g ∤ a.  P is sorted by class in
+blocks of at most ``_BLOCK`` entries, with counts per class carried from
+block to block, and each (class, end) is one ``searchsorted`` of
+class-then-position keys (``_class_search``).  A side with few sweep cells
+per entry keeps the sweep and reads its entry a (``_class_pair_count``).
+Buchstab's tail goes through the same count.
+``count_ultrafriable_progression`` and ``count_friable_progression`` count
+the first class asked at a point alone, and read the class vector, built
+once, from the second class asked at that point on (``_progression``).
 
 Measured times and memory peaks are in the Scope notes of the README.
 """
@@ -91,6 +106,7 @@ LIST_CAP = 1 << 25  # entries of one divisor list
 _DIRECT_TAU = 1 << 12  # rows with at most this many divisors are listed directly
 _BLOCK = 1 << 20  # entries per block of a temporary array
 _CELLS = 1 << 15  # (bound, class) cells per block of the class sweep
+_LONE_CELLS = 1.5  # below this many sweep cells per entry, one class reads the sweep
 _INT64_LIMIT = 1 << 63
 SPLIT_CAP = 1 << 12  # sub-bounds one plain count may plan past 2^63
 
@@ -308,6 +324,85 @@ def _residue_pairs(A: np.ndarray, B: np.ndarray, X: int, q: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=32)
+def _solutions(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(g, w) over the residues r mod q: g = gcd(r, q) and w = (r/g)^-1 mod q/g.
+
+    r * u ≡ a (mod q) has a solution u iff g | a, and then its solutions are
+    the g classes u ≡ (a/g) * w (mod q/g).
+    """
+    r = np.arange(q)
+    g = np.gcd(r, q)
+    return g, np.array([pow(v, -1, n) for v, n in zip((r // g).tolist(), (q // g).tolist())])
+
+
+def _class_search(V: np.ndarray, P: np.ndarray, ends: np.ndarray, a: int, q: int) -> int:
+    """Pairs v * u ≡ a (mod q) over v in V and u in P[:end] (one side, V ascending).
+
+    Each v asks for the g = gcd(v, q) classes of u that solve v * u ≡ a, or
+    none when g ∤ a (``_solutions``).  P is cut into blocks of at most
+    ``_BLOCK`` entries, and a v is counted in the block that holds its end:
+    the ends descend, so these v are a run of V.  A block is sorted once by
+    class, with a stable radix argsort of its uint16 classes, so that the
+    keys class * size + position ascend; one ``searchsorted`` of each
+    (class, end) then counts the entries of that class before the end, and
+    the counts per class of the blocks before are carried, as in the sweep.
+    The v of a run are taken _BLOCK // q at a time, so that at most _BLOCK
+    (class, end) queries are formed at once.
+    """
+    assert q < 1 << 16
+    g, w = _solutions(q)
+    r = V % q
+    g = g[r]
+    keep = (ends > 0) & (a % g == 0)
+    r, g, ends = r[keep], g[keep], ends[keep]
+    n = q // g
+    first = a // g * w[r] % n  # v's classes are first + k * n, k < g
+    total = 0
+    carry = np.zeros(q, dtype=np.int64)
+    step = max(1, _BLOCK // q)
+    for lo in range(0, int(ends.max(initial=0)), _BLOCK):
+        u = (P[lo:min(lo + _BLOCK, int(ends[0]))] % q).astype(np.uint16)
+        size = len(u)
+        count = np.bincount(u, minlength=q)
+        start = count.cumsum() - count
+        keys = u.argsort(kind="stable") + np.arange(0, q * size, size).repeat(count)
+        i, j = (-ends).searchsorted((-(lo + size), -lo))  # the v whose end is in this block
+        for s in range(i, j, step):
+            t = min(s + step, j)
+            c, e = g[s:t], ends[s:t] - lo
+            k = np.arange(int(c.sum())) - (c.cumsum() - c).repeat(c)  # 0 .. g - 1 for each v
+            cls = first[s:t].repeat(c) + k * n[s:t].repeat(c)
+            before = keys.searchsorted(cls * size + e.repeat(c)) - start[cls]
+            total += int(carry[cls].sum() + before.sum())
+        carry += count
+    return total
+
+
+def _class_pair_count(A: np.ndarray, B: np.ndarray, X: int, a: int, q: int) -> int:
+    """Pairs a' * b <= X over a' in A, b in B (sorted lists) with a' * b ≡ a (mod q).
+
+    The one-class ``_residue_pairs``: the sum of the ends at q = 1, and
+    otherwise each side's class search (``_class_search``), unless its sweep
+    fills fewer than ``_LONE_CELLS`` (row, class) cells per entry of its
+    longest prefix, when the sweep is the cheaper and its entry a is read.
+    The crossover was measured on 108 sides of the y = 100 engine, e^16 to
+    e^30 and q from 3 to 210 (2 vCPUs, best of 25 runs each, listed in
+    BENCH_lone_class.json): the sweep was the faster on most sides below
+    1.5 cells per entry and the search on most above; single sides cross
+    anywhere from 0.85 to 2.3, and 1.5 gave the least time over all of them.
+    """
+    total = 0
+    for V, P, ends in _pair_sides(A, B, X):
+        if q == 1:
+            total += int(ends.sum())
+        elif len(V) * q < _LONE_CELLS * ends.max(initial=0):
+            total += int(_class_pairs(V, P, ends, q)[a])
+        else:
+            total += _class_search(V, P, ends, a, q)
+    return total
+
+
 def _halves(plan: _Plan, X: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted divisor lists <= X of the two halves of the plan's rows."""
     left, right = plan.halves()
@@ -407,32 +502,59 @@ class _DivisorRows:
         """Number of divisors of N that are <= bound (exact)."""
         return self.classes_le(bound, 1)[0]
 
-    def classes_le(self, bound: int, q: int) -> tuple[int, ...]:
-        """Divisors of N that are <= bound, counted per class mod q (exact).
+    def _pair_counts(self, leaves, pairs):
+        """(leaf, pairs(A, B, leaf)) for each leaf (sign, k, b, ...) of a split
+        plan, A and B the half lists of rows[:k]; None for a full leaf (b = None).
 
-        The leaves of ``_split_plan`` on rows[:k] share one pair of half
-        lists, built at their largest bound and freed before the next k's.
-        Each leaf's class r is added into class r * m mod q, many to one when
-        gcd(m, q) > 1.
+        The leaves on rows[:k] share one pair of half lists, built at their
+        largest bound and freed before the next k's.
         """
         by_k = {}
-        for sign, k, b, m in _split_plan(self.rows, bound, q):
-            by_k.setdefault(k, []).append((sign, b, m))
-        vec = [0] * q
+        for leaf in leaves:
+            by_k.setdefault(leaf[1], []).append(leaf)
         for k, group in by_k.items():
-            top = max((b for _, b, _ in group if b is not None), default=None)
+            top = max((leaf[2] for leaf in group if leaf[2] is not None), default=None)
             halves = None
             if top is not None:
                 plan = self._plans.get(k) or _Plan(self.rows[:k])
                 halves = _halves(plan, top)
                 self._plans[k] = plan  # kept once its lists are built: a refused query keeps none
-            for sign, b, m in group:
-                part = _full_residues(self.rows[:k], q) if b is None else \
-                    _residue_pairs(*halves, b, q).tolist()
-                for r, c in enumerate(part):
-                    vec[r * m % q] += sign * c
+            for leaf in group:
+                yield leaf, None if leaf[2] is None else pairs(*halves, leaf)
             del halves
+
+    def classes_le(self, bound: int, q: int) -> tuple[int, ...]:
+        """Divisors of N that are <= bound, counted per class mod q (exact).
+
+        Each leaf's class r is added into class r * m mod q, many to one when
+        gcd(m, q) > 1.
+        """
+        vec = [0] * q
+        leaves = _split_plan(self.rows, bound, q)
+        for (sign, k, _, m), part in self._pair_counts(
+                leaves, lambda A, B, leaf: _residue_pairs(A, B, leaf[2], q).tolist()):
+            for r, c in enumerate(_full_residues(self.rows[:k], q) if part is None else part):
+                vec[r * m % q] += sign * c
         return tuple(vec)
+
+    def class_le(self, bound: int, a: int, q: int) -> int:
+        """Divisors of N that are <= bound in the one class a mod q (exact).
+
+        A leaf's divisors d count when d * m ≡ a (mod q): with g = gcd(m, q),
+        none when g ∤ a, and otherwise the class (a/g) * (m/g)^-1 mod q/g.
+        """
+        a %= q
+        leaves = []
+        for sign, k, b, m in _split_plan(self.rows, bound, q):
+            g = math.gcd(m, q)
+            if a % g == 0:
+                n = q // g
+                leaves.append((sign, k, b, a // g * pow(m // g, -1, n) % n, n))
+        total = 0
+        for (sign, k, _, r, n), part in self._pair_counts(
+                leaves, lambda A, B, leaf: _class_pair_count(A, B, *leaf[2:])):
+            total += sign * (sum(_full_residues(self.rows[:k], q)[r::n]) if part is None else part)
+        return total
 
 
 def _coprime_rows(p: np.ndarray, nu: np.ndarray, q_primes) -> tuple:
@@ -565,6 +687,33 @@ def _class_vector(X: int, y: int, q: int, kind: str) -> ResidueCounts:
     return ResidueCounts(q, _counts(X, y, q, (), kind))
 
 
+def _class_count(X: int, y: int, a: int, q: int, kind: str) -> int:
+    """The y-ultrafriable or y-friable n <= X with n ≡ a (mod q), one class alone:
+    ``_counts`` with the head's ``class_le`` and the tail's one-class pair count."""
+    a %= q
+    head, tail = _head_and_tail(X, y, (), kind)
+    n = head.class_le(X, a, q)
+    if len(tail):
+        n += _class_pair_count(tail, np.arange(1, math.isqrt(X) + 1), X, a, q)
+    return n
+
+
+_asked = {}  # (X, y, q, kind) of the last points whose class was counted alone, oldest first
+
+
+def _progression(X: int, y: int, a: int, q: int, kind: str) -> int:
+    """One class a mod q at (X, y): counted alone when it is the first class
+    asked at that point, and read off the point's class vector, built once,
+    from the second on, so that a walk over the classes costs one vector."""
+    key = (X, y, q, kind)
+    if key in _asked:
+        return _class_vector(*key)[a]
+    _asked[key] = None
+    if len(_asked) > 128:
+        del _asked[next(iter(_asked))]
+    return _class_count(X, y, a, q, kind)
+
+
 # ---------------------------------------------------------------------------
 # public counting operations
 # ---------------------------------------------------------------------------
@@ -598,6 +747,18 @@ def count_ultrafriable_below(num: int, table: pr.PrimePowerTable,
 def count_ultrafriable_residues(x, table: pr.PrimePowerTable, q: int) -> ResidueCounts:
     """Exact counts of y-ultrafriable n <= x in every residue class mod q."""
     return _class_vector(_floor_bound(x), table.y, q, "ultrafriable")
+
+
+def count_ultrafriable_progression(x, table: pr.PrimePowerTable, a: int, q: int) -> int:
+    """Exact number of y-ultrafriable n <= x with n ≡ a (mod q).
+
+    The entry a of ``count_ultrafriable_residues``, counted without the
+    other classes unless another class was asked at the same (x, y, q).
+    q > RESIDUE_Q_BOUND raises ResourceError.
+    """
+    X = _floor_bound(x)
+    _check_modulus(q)
+    return _progression(X, table.y, a, q, "ultrafriable")
 
 
 def character_sum(x, table: pr.PrimePowerTable, chi) -> complex:
@@ -639,7 +800,7 @@ def count_friable_progression(x, y: int, a: int, q: int) -> int:
         return len(range(a or q, X + 1, q))  # every n <= X: a, a + q, ... (q, 2q, ... for a = 0)
     if y < 2:
         return int(a == 1 % q)  # only n = 1 has no prime factor
-    return _class_vector(X, y, q, "friable")[a]
+    return _progression(X, y, a, q, "friable")
 
 # ---------------------------------------------------------------------------
 # the naive sieve oracle

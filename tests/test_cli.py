@@ -894,6 +894,33 @@ def test_count_rows_per_class_match_the_oracle(capsys, kind):
         assert r["exact_value_or_log"] == str(naive_oracle(5000, 30, a=int(r["a"]), q=12, mode=kind))
 
 
+@pytest.mark.parametrize("kind", ["ultrafriable", "friable"])
+def test_a_grid_at_one_point_builds_one_class_vector(capsys, kind):
+    # the first row of the grid counts its class alone, and the other four
+    # read the vector of (x, y, q), built once
+    ct._class_vector.cache_clear()
+    ct._asked.clear()
+    code, out = run_cli(["count", "--x", "e20", "--y", "300", "--q", "30", "--a-grid", "1,7,11,13,29",
+                         "--variant", kind, "--jobs", "1"], capsys)
+    assert code == 0
+    assert ct._class_vector.cache_info().misses == 1
+    vec = ct._class_vector(int(parse_x("e20")), 300, 30, kind)
+    rows = [dict(zip(COLUMNS, line.split(","))) for line in out.strip().splitlines()[1:]]
+    assert [r["exact_value_or_log"] for r in rows] == [str(vec[a]) for a in (1, 7, 11, 13, 29)]
+
+
+@pytest.mark.parametrize("kind", ["ultrafriable", "friable"])
+@pytest.mark.parametrize("x, y, q, a", [("e20.5", 100, 210, 11), ("e18", 5000, 7, -3),
+                                        ("e20", 50, 12, 30), ("1000000", 200, 1001, 0)])
+def test_count_row_with_a_class_prints_the_vector_entry(kind, x, y, q, a):
+    # a lone count --a row builds no vector, and prints the entry a mod q of one
+    ct._class_vector.cache_clear()
+    ct._asked.clear()
+    row = compute_row({"mode": "count", "x": parse_x(x), "y": y, "q": q, "a": a, "variant": kind})
+    assert row["status"] == "ok" and ct._class_vector.cache_info().misses == 0
+    assert row["exact_value_or_log"] == str(ct._class_vector(int(parse_x(x)), y, q, kind)[a])
+
+
 def test_friable_rows_below_y_2(capsys):
     # no n is y-friable for y < 1; for y = 1 only n = 1 is, in the class of 1
     code, out = run_cli(["count", "--variant", "friable", "--x", "10", "--y-grid=-3,0,1",

@@ -26,6 +26,7 @@ from ultrafriable import (
     count_friable_progression,
     count_ultrafriable,
     count_ultrafriable_below,
+    count_ultrafriable_progression,
     count_ultrafriable_residues,
     character_sum,
     enumerate_characters,
@@ -753,11 +754,12 @@ def test_one_row_is_a_leaf_below_its_divisor_count():
 @settings(max_examples=10, deadline=None)
 @given(tau=st.sampled_from((2, 32, 4096)), limit=st.sampled_from((50, 5000, 1 << 63)),
        cells=st.sampled_from((5, 1 << 15)), block=st.sampled_from((64, 1 << 20)),
-       pick=st.randoms(use_true_random=True))
-def test_path_knobs_together_match_oracle(tau, limit, cells, block, pick):
+       lone=st.sampled_from((0, 1 << 40)), pick=st.randoms(use_true_random=True))
+def test_path_knobs_together_match_oracle(tau, limit, cells, block, lone, pick):
     # every module constant that picks an engine path, drawn with the point:
     # a leaf of one row whatever _DIRECT_TAU is, the split past a lowered
-    # int64 limit, and class sweeps in tiny blocks.  The point is uniform:
+    # int64 limit, class sweeps and class searches in tiny blocks, and a lone
+    # class searched always (lone = 0) or never.  The point is uniform:
     # the split needs x well above the limit, and y on both sides of sqrt(x)
     # takes heads with and without Buchstab's tail.
     # At limit 50 a class plan past y = 89 passes SPLIT_CAP sub-bounds, a
@@ -767,7 +769,7 @@ def test_path_knobs_together_match_oracle(tau, limit, cells, block, pick):
     t = build_table(y)
     ctx = modulus_context(q, t)
     with mock.patch.multiple(ct, _DIRECT_TAU=tau, _INT64_LIMIT=limit, SPLIT_CAP=1 << 17,
-                             _CELLS=cells, _BLOCK=block):
+                             _CELLS=cells, _BLOCK=block, _LONE_CELLS=lone):
         # nothing listed or counted at the real knobs, and no engine's split
         # plan made under the real _DIRECT_TAU (the plans live in the engines)
         for cache in (ct._all_divisors, ct._class_vector, ct._counter):
@@ -776,11 +778,16 @@ def test_path_knobs_together_match_oracle(tau, limit, cells, block, pick):
         friable = [count_friable_progression(x, y, a, q) for a in range(q)]
         plain = count_ultrafriable(x, t, ctx) if ctx.p_plus_le_y else count_ultrafriable(x, t)
         smooth = count_friable(x, y, q if ctx.p_plus_le_y else 1)
+        a = pick.randrange(q)
+        alone = [ct._class_count(x, y, a, q, kind) for kind in ("ultrafriable", "friable")
+                 if kind == "ultrafriable" or y < x]
     ct._counter.cache_clear()  # no engine planned at the drawn _DIRECT_TAU outlives the patch
     assert list(ultra) == [naive_oracle(x, y, a=a, q=q) for a in range(q)]
     assert friable == [naive_oracle(x, y, a=a, q=q, mode="friable") for a in range(q)]
     assert plain == naive_oracle(x, y, q=q if ctx.p_plus_le_y else None)
     assert smooth == naive_oracle(x, y, q=q if ctx.p_plus_le_y else None, mode="friable")
+    assert alone == [naive_oracle(x, y, a=a, q=q, mode=kind) for kind in ("ultrafriable", "friable")
+                     if kind == "ultrafriable" or y < x]
 
 
 def _dealt(rows):
@@ -1090,3 +1097,166 @@ def test_counting_input_checks(table10, call, error, message):
     with pytest.raises(error) as ei:
         call(table10)
     assert str(ei.value) == message
+
+
+# ---------------------------------------------------------------------------
+# one class alone: class_le, the one-class pair count and the tail
+# ---------------------------------------------------------------------------
+
+# (kind, y, log x, every class mod q >= 210): the ultrafriable engine of
+# y = 100 from e^5 (with Buchstab's tail) to e^30, a y = 5000 head with its
+# tail, and friable heads without a tail and with one; the costly points mod
+# 210 and 1001 take every 7th class (a friable head of 10^8 with its tail is
+# the first class of test_split_anchors_past_sqrt_x)
+_ONE_CLASS_POINTS = (("ultrafriable", 100, 5, True), ("ultrafriable", 100, 12, True),
+                     ("ultrafriable", 100, 20, False), ("ultrafriable", 100, 30, False),
+                     ("ultrafriable", 5000, 11, False), ("friable", 30, 12, True),
+                     ("friable", 3000, 13, False))
+
+
+@pytest.mark.parametrize("q", [1, 7, 12, 30, 49, 210, 1001])
+def test_one_class_equals_the_vector_entry_at_every_class(q):
+    for kind, y, lx, every in _ONE_CLASS_POINTS:
+        X = int(math.exp(lx))
+        vec = ct._class_vector(X, y, q, kind)
+        classes = range(q) if every or q < 210 else range(0, q, 7)
+        got = [ct._class_count(X, y, a, q, kind) for a in classes]
+        assert got == [vec[a] for a in classes], (kind, y, lx)
+        for a in (-q, -1, q, 2 * q + 5):  # a is read mod q
+            assert ct._class_count(X, y, a, q, kind) == vec[a], (kind, y, lx, a)
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=st.integers(min_value=0, max_value=10**6), y=st.integers(min_value=2, max_value=3000),
+       q=st.sampled_from((1, 2, 6, 7, 12, 30, 49, 210, 1001)),
+       a=st.integers(min_value=-1001, max_value=2002))
+def test_one_class_matches_oracle(x, y, q, a):
+    assert ct._class_count(x, y, a, q, "ultrafriable") == naive_oracle(x, y, a=a, q=q)
+    friable = ct._class_count(x, y, a, q, "friable") if y < x else count_friable_progression(x, y, a, q)
+    assert friable == naive_oracle(x, y, a=a, q=q, mode="friable")
+
+
+@pytest.mark.parametrize("y, lx, q, classes", [(100, 22, 7, range(7)), (100, 20, 30, range(30)),
+                                               (100, 18, 210, range(1, 210, 13)),
+                                               (100, 12, 1001, range(0, 1001, 71))])
+def test_one_class_paths_agree(y, lx, q, classes):
+    # each side counted by the search (in one block and in blocks of 64
+    # entries, carried) and by the sweep read at a, against the vector's
+    # pair count
+    X = int(math.exp(lx))
+    A, B = ct._halves(ct._Plan(ct.get_counter(build_table(y)).rows), X)
+    want = ct._residue_pairs(A, B, X, q).tolist()
+    paths = {"search": dict(_LONE_CELLS=0), "blocks": dict(_LONE_CELLS=0, _BLOCK=64),
+             "sweep": dict(_LONE_CELLS=1 << 40)}
+    for path, knobs in paths.items():
+        with mock.patch.multiple(ct, **knobs), \
+                mock.patch.object(ct, "_class_search", wraps=ct._class_search) as search, \
+                mock.patch.object(ct, "_class_pairs", wraps=ct._class_pairs) as sweep:
+            got = [ct._class_pair_count(A, B, X, a, q) for a in classes]
+        assert got == [want[a] for a in classes], path
+        assert (search.called, sweep.called) == ((False, True) if path == "sweep" else (True, False)), path
+
+
+def test_one_class_tail_reaches_isqrt_x():
+    # x = s * P with P the prime after s = isqrt(x): the tail pair P * s is n = x
+    for s, P in ((10, 11), (12, 13), (16, 17), (18, 19), (28, 29), (30, 31), (40, 41)):
+        for x in (s * P - 1, s * P, (s + 1) ** 2 - 1):
+            assert math.isqrt(x) == s
+            for kind, q in itertools.product(("ultrafriable", "friable"), (1, 7, 30)):
+                assert [ct._class_count(x, P, a, q, kind) for a in range(q)] == \
+                    [naive_oracle(x, P, a=a, q=q, mode=kind) for a in range(q)], (x, kind, q)
+
+
+def test_one_class_search_asks_the_g_classes_of_a_shared_gcd():
+    # v = 6 and 10 share 2 with q = 20: v * u ≡ a needs 2 | a, and then holds
+    # on two classes of u mod 20; v = 5 shares 5, and v = 20 solves only a = 0
+    V, P = np.array([1, 5, 6, 10, 20]), np.arange(1, 400)
+    ends = np.array([399, 250, 123, 77, 19])
+    for a in range(-20, 40):
+        want = sum(int(np.count_nonzero(v * P[:e] % 20 == a % 20)) for v, e in zip(V, ends))
+        for block in (1 << 20, 7):
+            with mock.patch.object(ct, "_BLOCK", block):
+                assert ct._class_search(V, P, ends, a % 20, 20) == want, (a, block)
+
+
+@pytest.mark.parametrize("lx, q, classes", [(44, 5 * 43, (0, 1, 2, 43, 86, 129, 172, 200)),
+                                            (45, 30, range(30)), (46, 210, range(0, 210, 11)),
+                                            (46, 5 * 97, range(0, 485, 97))])
+def test_one_class_past_2_63(table100, lx, q, classes):
+    # the split past 2^63 peels 97, 89, ..., 43 off the y = 100 rows: the
+    # multipliers share 43 with 215 and 97 with 485, so some leaves drop out
+    # and others count a class mod 5, read from a / 43 or a / 97
+    X = int(math.exp(lx))
+    assert X >= 2**63
+    vec = count_ultrafriable_residues(X, table100, q)
+    assert [ct._class_count(X, 100, a, q, "ultrafriable") for a in classes] == [vec[a] for a in classes]
+
+
+@pytest.mark.parametrize("q", [6, 12, 30])
+def test_one_class_leaves_at_a_lowered_limit(q):
+    # with the int64 limit at 50 the y = 30 rows split into hundreds of
+    # leaves, and full leaves (bounds >= N_k) whose multipliers share a prime
+    # with q sum the entries of their class mod q / g
+    rows = ct.get_counter(build_table(30)).rows
+    divisors = np.array([math.prod(p ** e for (p, _), e in zip(rows, es))
+                         for es in itertools.product(*(range(nu + 1) for _, nu in rows))])
+    for X in (10**4, 10**6):
+        want = np.bincount(divisors[divisors <= X] % q, minlength=q).tolist()
+        with mock.patch.object(ct, "_INT64_LIMIT", 50), mock.patch.object(ct, "SPLIT_CAP", 1 << 17):
+            assert any(b is None and math.gcd(m, q) > 1 for _, _, b, m in ct._split_plan(rows, X, q))
+            assert [ct._DivisorRows(rows).class_le(X, a, q) for a in range(q)] == want, X
+
+
+@seed(31)
+@settings(max_examples=10, deadline=None)
+@given(limit=st.sampled_from((50, 300, 2000)),
+       qy=st.sampled_from((4, 6, 12, 30, 210)).flatmap(lambda q: st.tuples(
+           st.just(q), st.integers(min_value=2, max_value=60))),
+       pick=st.randoms(use_true_random=True))
+def test_one_class_split_exact_at_oracle_scale(limit, qy, pick):
+    # with the int64 limit lowered, the plan peels every prime down to 2, so
+    # the multipliers share each prime of q, and bounds >= N_k leave full leaves
+    q, y = qy
+    x = pick.randrange(1, 10**6)
+    engine = ct.get_counter(build_table(y))
+    with mock.patch.object(ct, "_INT64_LIMIT", limit), mock.patch.object(ct, "SPLIT_CAP", 1 << 17):
+        vec = engine.classes_le(x, q)
+        for a in pick.sample(range(q), 3):
+            assert engine.class_le(x, a, q) == vec[a] == naive_oracle(x, y, a=a, q=q), (x, a)
+
+
+def test_progression_early_returns_unchanged():
+    # x = 0, y < 2 and y >= x are answered before any engine or vector
+    with mock.patch.object(ct, "_class_count", side_effect=AssertionError), \
+            mock.patch.object(ct, "_class_vector", side_effect=AssertionError):
+        for x, y in itertools.product((0, 1, 2, 10, 1396), (-3, 0, 1, 10, 1396, 2000)):
+            if x == 0 or y < 2 or y >= x:
+                for q in (1, 2, 6, 7):
+                    for a in range(-q, 2 * q):
+                        assert count_friable_progression(x, y, a, q) == \
+                            naive_oracle(x, y, a=a, q=q, mode="friable"), (x, y, a, q)
+    t = build_table(10)
+    assert [count_ultrafriable_progression(0, t, a, 7) for a in range(7)] == [0] * 7
+
+
+def test_second_class_at_a_point_reads_one_vector():
+    # the first class asked at a point is counted alone; from the second on the
+    # point's vector is built once and read
+    t = build_table(150)
+    ct._class_vector.cache_clear()
+    ct._asked.clear()
+    with mock.patch.object(ct, "_class_count", wraps=ct._class_count) as alone:
+        first = count_ultrafriable_progression(10**6, t, 3, 7), count_friable_progression(10**6, 150, 3, 7)
+        assert alone.call_count == 2 and ct._class_vector.cache_info().misses == 0
+        ultra = [count_ultrafriable_progression(10**6, t, a, 7) for a in range(7)]
+        friable = [count_friable_progression(10**6, 150, a, 7) for a in range(7)]
+        assert alone.call_count == 2 and ct._class_vector.cache_info().misses == 2
+        assert first == (ultra[3], friable[3])
+        # the record keeps the last 128 points: a point pushed out is counted alone again
+        for x in range(1, 129):
+            count_friable_progression(x + 200, 150, 1, 7)
+        assert alone.call_count == 130
+        count_ultrafriable_progression(10**6, t, 5, 7)
+        assert alone.call_count == 131
+    assert ultra == [naive_oracle(10**6, 150, a=a, q=7) for a in range(7)]
+    assert friable == [naive_oracle(10**6, 150, a=a, q=7, mode="friable") for a in range(7)]

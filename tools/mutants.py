@@ -5,12 +5,13 @@ Usage, from the repository root (no install; each copy imports its own
 
     python3 tools/mutants.py
 
-Each entry of ``MUTANTS`` is (name, file, old text, new text, test files).
+Each entry of ``MUTANTS`` is (name, file, old text, new text, tests): test
+files, or the test nodes that kill the mutant soonest.
 The old text must occur exactly once in its file; every entry is checked
 before any test runs.  An unmutated copy of the repository runs every test
-file named in the list and must pass, so that a broken suite cannot pass
+named in the list and must pass, so that a broken suite cannot pass
 for a killed mutant.  Then each mutant is applied to a fresh temporary copy,
-where ``pytest -x`` runs its test files: a failing test kills it.  One line
+where ``pytest -x`` runs its tests: a failing test kills it.  One line
 is printed per mutant, killed or survived with its time.  The exit status is
 1 if any mutant survives, or if a run neither passes nor fails (a timeout, a
 collection error).
@@ -40,6 +41,7 @@ SADDLE = "src/ultrafriable/saddle.py"
 COUNTING_TESTS = ("tests/test_counting.py",)
 ESTIMATOR_TESTS = ("tests/test_estimators.py",)
 BETA_GRID_TEST = ("tests/test_saddle.py::test_beta_grid_newton_evaluations",)
+ONE_CLASS_SEARCH_TEST = "tests/test_counting.py::test_one_class_search_asks_the_g_classes_of_a_shared_gcd"
 TIMEOUT_S = 300  # per pytest run
 
 MUTANTS = (
@@ -49,21 +51,23 @@ MUTANTS = (
     ("B side cut left", COUNTING,
      'B[:B.searchsorted(s, "right")]', 'B[:B.searchsorted(s, "left")]', COUNTING_TESTS),
     # each block of the class sweep starts from the last row of the block before
-    ("class sweep carry dropped", COUNTING, "        C[0] += carry\n", "", COUNTING_TESTS),
+    ("class sweep carry dropped", COUNTING, "        C[0] += carry\n", "",
+     ("tests/test_counting.py::test_class_pairs_match_binned_products",)),
     # divisors > bound pair with divisors < N/bound, strictly
     ("reflected bound not strict", COUNTING, "(N - 1) // bound", "N // bound", COUNTING_TESTS),
     # the squarefree d | rad(q) up to M, inclusive
     ("inclusion-exclusion stops below max M", COUNTING,
-     "if d * p <= M]", "if d * p < M]", COUNTING_TESTS),
+     "if d * p <= M]", "if d * p < M]", ("tests/test_counting.py::test_friable_y_at_least_x",)),
     # the tail's m are coprime to q: a multiple of a prime of q is no such n
     ("tail keeps multiples of the primes of q", COUNTING,
-     "m = m[m % p != 0]", "pass", COUNTING_TESTS),
+     "m = m[m % p != 0]", "pass", ("tests/test_counting.py::test_friable_buchstab_edges",)),
     # the float floor of log(bound) / log(p) is corrected up when p^(e+1) == bound
     ("exponent upward correction strict", PRIMES,
      "e += p ** (e + 1) <= bound", "e += p ** (e + 1) < bound",
      ("tests/test_primes.py", "tests/test_counting.py")),
     # peeling p^e off a bound past 2^63 multiplies the classes below it by p^e
-    ("split multiplier dropped", COUNTING, "m * p ** e % q)", "m)", COUNTING_TESTS),
+    ("split multiplier dropped", COUNTING, "m * p ** e % q)", "m)",
+     ("tests/test_counting.py::test_class_split_exact_at_oracle_scale",)),
     # mod q > 1 the class of N/d is not a function of the class of d
     ("reflection at every q", COUNTING,
      "(q == 1 and bound * bound >= N)", "(bound * bound >= N)", COUNTING_TESTS),
@@ -75,7 +79,8 @@ MUTANTS = (
      "cap, prefix = bound * bound, [1]", "cap, prefix = bound, [1]", COUNTING_TESTS),
     # one row is listed directly, whatever _DIRECT_TAU is: halving it recurses forever
     ("one-row leaf dropped", COUNTING,
-     "self.leaf = len(rows) == 1 or math.prod(", "self.leaf = math.prod(", COUNTING_TESTS),
+     "self.leaf = len(rows) == 1 or math.prod(", "self.leaf = math.prod(",
+     ("tests/test_counting.py::test_one_row_is_a_leaf_below_its_divisor_count",)),
     # the divisors > bound are tau(N) minus those below N/bound: the reflected leaf subtracts
     ("reflection's sign kept", COUNTING,
      "sign, bound = -sign, (N - 1) // bound", "sign, bound = sign, (N - 1) // bound", COUNTING_TESTS),
@@ -94,7 +99,30 @@ MUTANTS = (
     # a leaf row's power p^e times the prefix of the list below 2^63 / p^e, every entry of it
     ("leaf prefix ends shifted by one", COUNTING,
      'ends = d.searchsorted(top // pw, "right")', 'ends = d.searchsorted(top // pw, "right") - 1',
-     COUNTING_TESTS),
+     ("tests/test_counting.py::test_prefix_equals_a_fresh_listing_past_2_63",)),
+    # one class alone: a v sharing g with q solves v * u ≡ a on g classes of u, or on none
+    ("every v a unit in the class search", COUNTING,
+     "    g = g[r]\n", "    g = np.ones_like(r)\n", (ONE_CLASS_SEARCH_TEST,)),
+    # the entries of a class before a v's end, not at it
+    ("class key searched one past its end", COUNTING,
+     "keys.searchsorted(cls * size + e.repeat(c))",
+     "keys.searchsorted(cls * size + e.repeat(c) + 1)", (ONE_CLASS_SEARCH_TEST,)),
+    # each block of the class search starts from the class counts of the blocks before
+    ("class search carry dropped", COUNTING,
+     "total += int(carry[cls].sum() + before.sum())", "total += int(before.sum())",
+     (ONE_CLASS_SEARCH_TEST,)),
+    # a leaf with g = gcd(m, q) counts the class (a/g) * (m/g)^-1 mod q/g
+    ("one-class leaf keeps a, not a / g", COUNTING,
+     "a // g * pow(m // g, -1, n) % n, n))", "a * pow(m // g, -1, n) % n, n))",
+     ("tests/test_counting.py::test_one_class_leaves_at_a_lowered_limit",)),
+    # a full leaf sums every class mod q that lies in the class mod q / g
+    ("one-class full leaf reads one entry", COUNTING,
+     "sum(_full_residues(self.rows[:k], q)[r::n])", "_full_residues(self.rows[:k], q)[r]",
+     ("tests/test_counting.py::test_one_class_leaves_at_a_lowered_limit",)),
+    # the tail's m run up to isqrt(X) inclusive, for one class too
+    ("one-class tail stops below isqrt(X)", COUNTING,
+     "np.arange(1, math.isqrt(X) + 1), X, a, q)", "np.arange(1, math.isqrt(X)), X, a, q)",
+     ("tests/test_counting.py::test_one_class_tail_reaches_isqrt_x",)),
     # a primitive root g mod p with g^(p-1) = 1 mod p^2 does not generate mod p^2; g + p does
     ("primitive root lift dropped", CHARACTERS,
      "        g += p\n", "        pass\n", ("tests/test_characters.py",)),
