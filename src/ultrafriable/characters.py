@@ -195,6 +195,11 @@ def enumerate_characters(q: int) -> tuple[DirichletCharacter, ...]:
 # character-side diagnostic sums
 # ---------------------------------------------------------------------------
 
+def _twisted_re(tau: float, table: pr.PrimePowerTable, chi: DirichletCharacter) -> np.ndarray:
+    """Re(chi(p) p^{-i tau}) over the table's primes p."""
+    return (chi.values(table.p_arr) * np.exp(-1j * tau * table.logp_arr)).real
+
+
 def w_q(tau: float, beta: float, table: pr.PrimePowerTable, ctx: pr.ModulusContext,
         chi: DirichletCharacter) -> float:
     """sum over p <= y, p ∤ q of (1 - Re(chi(p) p^{-i tau}))^2 / p^beta."""
@@ -202,9 +207,7 @@ def w_q(tau: float, beta: float, table: pr.PrimePowerTable, ctx: pr.ModulusConte
         raise DomainError(f"need beta > 0, got {beta}")
     if chi.modulus != ctx.q:
         raise DomainError(f"the character is mod {chi.modulus}, the context mod {ctx.q}")
-    lp = table.logp_arr
-    re = (chi.values(table.p_arr) * np.exp(-1j * tau * lp)).real
-    terms = (1.0 - re) ** 2 * np.exp(-beta * lp)
+    terms = (1.0 - _twisted_re(tau, table, chi)) ** 2 * np.exp(-beta * table.logp_arr)
     return float(np.sum(terms[table.mask_coprime(ctx.prime_divisors)]))
 
 
@@ -214,8 +217,7 @@ def d_sum(tau: float, beta: float, y: int, chi: DirichletCharacter) -> float:
         raise DomainError(f"need beta > 0, got {beta}")
     table = pr.build_table(y)
     lp = table.logp_arr
-    re = (chi.values(table.p_arr) * np.exp(-1j * tau * lp)).real
-    return float(np.sum((1.0 - re) * lp * np.exp(-beta * lp)))
+    return float(np.sum((1.0 - _twisted_re(tau, table, chi)) * lp * np.exp(-beta * lp)))
 
 
 def s_sum(tau: float, beta: float, y: int, chi: DirichletCharacter) -> complex:

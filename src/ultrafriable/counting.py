@@ -68,6 +68,19 @@ Sub-bounds on rows[:k] share one pair of half lists, built at the largest.
 Real bounds are floored once on entry (counts are step functions of x); a
 negative bound is a DomainError.
 
+A plain count (q = 1) peels the smallest row (p, nu) off a leaf at
+b >= ``_PEEL_BOUND`` (2^26) that is the only bounded leaf on rows[:k]:
+#{d | N_k : d <= b} is the sum over e = 0..nu of
+#{d | N_k / p^nu : d <= b // p^e}, so the leaf lists the halves of rows[1:k]
+at b and sums the pair counts at its sub-bounds b // p^e >= 1 over them.
+Without p = 2 (nu = 7 at y = 200) those lists hold about half the entries,
+and the sorts that dominate a large count shrink with them; the plan, its
+sub-bounds and ``SPLIT_CAP`` are untouched.  Below the bound the nu + 1
+pair counts cost more than the lists save, and so they do in a group of
+several leaves past 2^63, which pays them per leaf; mod q > 1 the classes
+of b // p^e would need the multiplier p^e, so class vectors and lone
+classes keep the whole rows.
+
 One class alone, ``class_le(bound, a, q)``, runs on the same plans, trees
 and half lists.  A leaf (sign, k, b, m) adds nothing when g = gcd(m, q)
 does not divide a, and otherwise counts the divisors of rows[:k] in the
@@ -109,6 +122,7 @@ _CELLS = 1 << 15  # (bound, class) cells per block of the class sweep
 _LONE_CELLS = 1.5  # below this many sweep cells per entry, one class reads the sweep
 _INT64_LIMIT = 1 << 63
 SPLIT_CAP = 1 << 12  # sub-bounds one plain count may plan past 2^63
+_PEEL_BOUND = 1 << 26  # plain leaves from this bound on count the smallest row as multipliers
 
 
 def _floor_bound(x) -> int:
@@ -502,38 +516,49 @@ class _DivisorRows:
         """Number of divisors of N that are <= bound (exact)."""
         return self.classes_le(bound, 1)[0]
 
-    def _pair_counts(self, leaves, pairs):
-        """(leaf, pairs(A, B, leaf)) for each leaf (sign, k, b, ...) of a split
-        plan, A and B the half lists of rows[:k]; None for a full leaf (b = None).
+    def _pair_counts(self, leaves, pairs, peel=False):
+        """(leaf, part) for each leaf (sign, k, b, *rest) of a split plan: part is
+        pairs(A, B, b, *rest), A and B the half lists of rows[:k], or None for a
+        full leaf (b = None).
 
         The leaves on rows[:k] share one pair of half lists, built at their
-        largest bound and freed before the next k's.
+        largest bound and freed before the next k's.  With ``peel`` (a plain
+        count), a group of one leaf with b >= ``_PEEL_BOUND`` lists the halves
+        of rows[1:k] instead, and its part is the sum of the parts at b // p^e
+        over the smallest row's powers p^e <= b, e <= nu.  A group of several
+        leaves keeps rows[:k]: each leaf would pay nu + 1 pair counts, and
+        past 2^63 those cost more than the smaller lists save.
         """
         by_k = {}
         for leaf in leaves:
             by_k.setdefault(leaf[1], []).append(leaf)
         for k, group in by_k.items():
-            top = max((leaf[2] for leaf in group if leaf[2] is not None), default=None)
+            bounds = [leaf[2] for leaf in group if leaf[2] is not None]
             halves = None
-            if top is not None:
-                plan = self._plans.get(k) or _Plan(self.rows[:k])
+            if bounds:
+                top = max(bounds)
+                j = int(peel and len(bounds) == 1 and top >= _PEEL_BOUND)  # the halves hold rows[j:k]
+                plan = self._plans.get((j, k)) or _Plan(self.rows[j:k])
                 halves = _halves(plan, top)
-                self._plans[k] = plan  # kept once its lists are built: a refused query keeps none
+                self._plans[j, k] = plan  # kept once its lists are built: a refused query keeps none
+                p, nu = self.rows[0] if j else (1, 0)
             for leaf in group:
-                yield leaf, None if leaf[2] is None else pairs(*halves, leaf)
+                b, rest = leaf[2], leaf[3:]
+                yield leaf, None if b is None else sum(
+                    pairs(*halves, b // p ** e, *rest) for e in range(nu + 1) if p ** e <= b)
             del halves
 
     def classes_le(self, bound: int, q: int) -> tuple[int, ...]:
         """Divisors of N that are <= bound, counted per class mod q (exact).
 
         Each leaf's class r is added into class r * m mod q, many to one when
-        gcd(m, q) > 1.
+        gcd(m, q) > 1.  At q = 1 a leaf may peel the smallest row (``_pair_counts``).
         """
         vec = [0] * q
         leaves = _split_plan(self.rows, bound, q)
         for (sign, k, _, m), part in self._pair_counts(
-                leaves, lambda A, B, leaf: _residue_pairs(A, B, leaf[2], q).tolist()):
-            for r, c in enumerate(_full_residues(self.rows[:k], q) if part is None else part):
+                leaves, lambda A, B, b, m: _residue_pairs(A, B, b, q), peel=q == 1):
+            for r, c in enumerate(_full_residues(self.rows[:k], q) if part is None else part.tolist()):
                 vec[r * m % q] += sign * c
         return tuple(vec)
 
@@ -551,8 +576,7 @@ class _DivisorRows:
                 n = q // g
                 leaves.append((sign, k, b, a // g * pow(m // g, -1, n) % n, n))
         total = 0
-        for (sign, k, _, r, n), part in self._pair_counts(
-                leaves, lambda A, B, leaf: _class_pair_count(A, B, *leaf[2:])):
+        for (sign, k, _, r, n), part in self._pair_counts(leaves, _class_pair_count):
             total += sign * (sum(_full_residues(self.rows[:k], q)[r::n]) if part is None else part)
         return total
 
@@ -680,11 +704,23 @@ def _counts(X: int, y: int, q: int, q_primes: tuple, kind: str) -> tuple[int, ..
     return vec
 
 
+_asked = {}  # (X, y, q, kind) of the last points with a class asked or a vector built, oldest first
+
+
+def _record(key):
+    """Note the point key in ``_asked``, which keeps the last 128 points."""
+    _asked[key] = None
+    if len(_asked) > 128:
+        del _asked[next(iter(_asked))]
+
+
 @lru_cache(maxsize=128)
 def _class_vector(X: int, y: int, q: int, kind: str) -> ResidueCounts:
     """The y-ultrafriable or y-friable n <= X per class mod q, once per (X, y, q, kind)."""
     _check_modulus(q)
-    return ResidueCounts(q, _counts(X, y, q, (), kind))
+    vec = ResidueCounts(q, _counts(X, y, q, (), kind))
+    _record((X, y, q, kind))  # a class asked at this point from now on reads the vector
+    return vec
 
 
 def _class_count(X: int, y: int, a: int, q: int, kind: str) -> int:
@@ -698,19 +734,15 @@ def _class_count(X: int, y: int, a: int, q: int, kind: str) -> int:
     return n
 
 
-_asked = {}  # (X, y, q, kind) of the last points whose class was counted alone, oldest first
-
-
 def _progression(X: int, y: int, a: int, q: int, kind: str) -> int:
     """One class a mod q at (X, y): counted alone when it is the first class
-    asked at that point, and read off the point's class vector, built once,
-    from the second on, so that a walk over the classes costs one vector."""
+    asked at that point and no vector was built there, and read off the
+    point's class vector, built once, from the second on, so that a walk over
+    the classes costs one vector."""
     key = (X, y, q, kind)
     if key in _asked:
         return _class_vector(*key)[a]
-    _asked[key] = None
-    if len(_asked) > 128:
-        del _asked[next(iter(_asked))]
+    _record(key)
     return _class_count(X, y, a, q, kind)
 
 

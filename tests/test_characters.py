@@ -22,7 +22,12 @@ from ultrafriable import (
     solve_beta,
     w_q,
 )
-from ultrafriable.characters import _generators, character_group, character_sums_from_residues
+from ultrafriable.characters import (
+    _generators,
+    _twisted_re,
+    character_group,
+    character_sums_from_residues,
+)
 from ultrafriable.counting import RESIDUE_Q_BOUND, ResidueCounts
 from ultrafriable.primes import factorize, sieve_primes
 
@@ -183,6 +188,24 @@ def test_s_sum_principal_q1_is_psi():
         s = s_sum(0.0, 1e-12, y, chi0)
         assert s.imag == 0.0
         assert s.real == pytest.approx(build_table(y).psi_y, rel=1e-10)
+
+
+def test_w_q_and_d_sum_share_the_twisted_real_part():
+    # both sums read Re(chi(p) p^{-i tau}) from one helper and stay bit-identical
+    # to their own array formulas; the helper agrees with cmath prime by prime
+    for y, q in ((30, 7), (100, 12), (1000, 30)):
+        t = build_table(y)
+        ctx, lp = modulus_context(q, t), t.logp_arr
+        for chi in enumerate_characters(q):
+            for tau, beta in ((0.0, 0.4), (0.3, 0.9), (17.0, 1.3)):
+                re = (chi.values(t.p_arr) * np.exp(-1j * tau * lp)).real
+                w = (1.0 - re) ** 2 * np.exp(-beta * lp)
+                assert w_q(tau, beta, t, ctx, chi) == float(np.sum(w[t.mask_coprime(ctx.prime_divisors)]))
+                assert d_sum(tau, beta, y, chi) == float(np.sum((1.0 - re) * lp * np.exp(-beta * lp)))
+                assert np.array_equal(_twisted_re(tau, t, chi), re)
+            p = t.p_arr[::7].tolist()
+            want = [(chi(v) * cmath.exp(-1j * tau * math.log(v))).real for v in p]
+            assert _twisted_re(tau, t, chi)[::7] == pytest.approx(want, abs=1e-12)
 
 
 def test_w_q_rejects_another_modulus(table100):

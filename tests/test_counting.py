@@ -754,12 +754,14 @@ def test_one_row_is_a_leaf_below_its_divisor_count():
 @settings(max_examples=10, deadline=None)
 @given(tau=st.sampled_from((2, 32, 4096)), limit=st.sampled_from((50, 5000, 1 << 63)),
        cells=st.sampled_from((5, 1 << 15)), block=st.sampled_from((64, 1 << 20)),
-       lone=st.sampled_from((0, 1 << 40)), pick=st.randoms(use_true_random=True))
-def test_path_knobs_together_match_oracle(tau, limit, cells, block, lone, pick):
+       lone=st.sampled_from((0, 1 << 40)), pick=st.randoms(use_true_random=True),
+       peel=st.sampled_from((0, 1 << 63)))
+def test_path_knobs_together_match_oracle(tau, limit, cells, block, lone, pick, peel):
     # every module constant that picks an engine path, drawn with the point:
     # a leaf of one row whatever _DIRECT_TAU is, the split past a lowered
     # int64 limit, class sweeps and class searches in tiny blocks, and a lone
-    # class searched always (lone = 0) or never.  The point is uniform:
+    # class searched always (lone = 0) or never, and plain counts peeled
+    # always (peel = 0) or never.  The point is uniform:
     # the split needs x well above the limit, and y on both sides of sqrt(x)
     # takes heads with and without Buchstab's tail.
     # At limit 50 a class plan past y = 89 passes SPLIT_CAP sub-bounds, a
@@ -769,7 +771,7 @@ def test_path_knobs_together_match_oracle(tau, limit, cells, block, lone, pick):
     t = build_table(y)
     ctx = modulus_context(q, t)
     with mock.patch.multiple(ct, _DIRECT_TAU=tau, _INT64_LIMIT=limit, SPLIT_CAP=1 << 17,
-                             _CELLS=cells, _BLOCK=block, _LONE_CELLS=lone):
+                             _CELLS=cells, _BLOCK=block, _LONE_CELLS=lone, _PEEL_BOUND=peel):
         # nothing listed or counted at the real knobs, and no engine's split
         # plan made under the real _DIRECT_TAU (the plans live in the engines)
         for cache in (ct._all_divisors, ct._class_vector, ct._counter):
@@ -878,36 +880,124 @@ def test_prefix_equals_a_fresh_listing_past_2_63(rows):
         assert ct._divisors_le(ct._Plan(rows), X).tolist() == [d for d in every if d <= X]
 
 
+def _leaf_rows(plan):
+    """The row tuples of the leaves of a split tree, each once."""
+    return {plan.rows} if plan.leaf else set().union(*map(_leaf_rows, plan.halves()))
+
+
 def test_leaf_lists_are_shared_across_queries_and_engines(table100):
-    # the y = 100 residue engines mod 7, 30 and 210 have the same rows
+    # the y = 100 residue engines mod 7, 30 and 210 have the same rows and list
+    # each leaf of their tree once; plain counts peel rows[0] and list each leaf
+    # of the tree of rows[1:] once, for every plain engine on the same rows
     x = int(math.exp(25))
+    rows = ct.get_counter(table100).rows
+    whole, peeled = _leaf_rows(ct._Plan(rows)), _leaf_rows(ct._Plan(rows[1:]))
     ct._all_divisors.cache_clear()
     ct._class_vector.cache_clear()  # cold: nothing cached by an earlier test
     ct.get_residue_counter(table100, 7).count_le(x)
-    misses = ct._all_divisors.cache_info().misses
-    assert misses > 0
+    assert ct._all_divisors.cache_info().misses == len(whole) > 0
     for q in (30, 210):
         ct.get_residue_counter(table100, q).count_le(x)
+    assert ct._all_divisors.cache_info().misses == len(whole)
+    assert x // 5 >= ct._PEEL_BOUND
     ct.get_counter(table100).count_le(x // 3)
+    ct._DivisorRows(rows).count_le(x // 5)
     info = ct._all_divisors.cache_info()
-    assert info.misses == misses and info.hits >= 3 * misses
+    assert info.misses == len(whole | peeled)
+    assert info.hits == 2 * len(whole) + len(whole & peeled) + len(peeled)
+
+
+def _group_rows(engine, x):
+    """{k: (the rows whose halves the group on rows[:k] lists, its largest bound)}
+    of a plain count: rows[1:k] for a group of one leaf at or past _PEEL_BOUND."""
+    groups = {}
+    for _, k, b, _ in ct._split_plan(engine.rows, x, 1):
+        if b is not None:
+            groups.setdefault(k, []).append(b)
+    return {k: (engine.rows[int(len(bs) == 1 and bs[0] >= ct._PEEL_BOUND):k], max(bs))
+            for k, bs in groups.items()}
 
 
 def test_split_lists_each_row_prefix_once():
-    # the leaves of one plan share the halves of rows[:k], listed at the
-    # group's largest bound
+    # the leaves of one plan share the halves of rows[:k], listed at the group's
+    # largest bound; a group of one leaf at or past _PEEL_BOUND lists rows[1:k]
     t = build_table(100)
     x = int(math.exp(45))
     engine = ct.get_counter(t)
-    leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(engine.rows, x, 1) if b is not None]
-    ks = {k for _, k, _ in leaves}
-    assert len(leaves) > len(ks) > 1
+    groups = _group_rows(engine, x)
+    leaves = [b for _, _, b, _ in ct._split_plan(engine.rows, x, 1) if b is not None]
+    assert len(leaves) > len(groups) > 1
+    assert {len(rows) == k for k, (rows, _) in groups.items()} == {True, False}  # both kinds of group
     with mock.patch.object(ct, "_halves", wraps=ct._halves) as halves:
         assert engine.count_le(x) == 273171435
-    # the halves' own lists call _halves on interleaved rows, never on a prefix
-    listed = [c.args[0].rows for c in halves.call_args_list
-              if c.args[0].rows == engine.rows[:len(c.args[0].rows)]]
-    assert sorted(listed) == sorted(engine.rows[:k] for k in ks)
+    # the halves' own lists call _halves on interleaved rows, never on a slice
+    # of the engine's rows from rows[0] or rows[1]
+    listed = [rows for rows in (c.args[0].rows for c in halves.call_args_list)
+              if rows in (engine.rows[:len(rows)], engine.rows[1:len(rows) + 1])]
+    assert sorted(listed) == sorted(rows for rows, _ in groups.values())
+
+
+# ---------------------------------------------------------------------------
+# the peel: a plain count's smallest row as multipliers of its bounds
+# ---------------------------------------------------------------------------
+
+def _peeled_and_whole(count):
+    """count() with _PEEL_BOUND at 0 (every plain leaf alone on its rows[:k] peeled) and at 2^63."""
+    out = []
+    for bound in (0, 1 << 63):
+        with mock.patch.object(ct, "_PEEL_BOUND", bound):
+            out.append(count())
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(y=st.integers(min_value=2, max_value=200), lx=st.floats(min_value=0, max_value=30),
+       q=st.sampled_from((1, 2, 6, 30)))
+@example(y=100, lx=45.0, q=1)  # past 2^63, a leaf alone on its rows[:k] is peeled
+@example(y=150, lx=50.0, q=1)
+@example(y=200, lx=46.0, q=6)
+def test_peeled_counts_match_whole_rows(y, lx, q):
+    x = int(math.exp(lx))
+    t = build_table(y)
+    q = q if modulus_context(q, t).p_plus_le_y else 1
+    for count in (lambda: count_ultrafriable(x, t, modulus_context(q, t)),
+                  lambda: count_friable(min(x, ct.FRIABLE_X_BOUND), y, q)):
+        peeled, whole = _peeled_and_whole(count)
+        assert peeled == whole, (x, y, q)
+
+
+def test_peeled_counts_step_by_one_at_divisors(table100):
+    # at a bound d that divides N the count rises by exactly one: each sub-bound
+    # is d // p^e, and the one term with d / p^e odd counts d
+    engine = ct.get_counter(table100)
+    rng = random.Random(5)
+    bounds = []
+    while len(bounds) < 12:
+        d = 1
+        for p, nu in rng.sample(engine.rows, len(engine.rows)):
+            e = rng.randrange(nu + 1)
+            if d * p ** e < 1 << 50:
+                d *= p ** e
+        if d >= ct._PEEL_BOUND:
+            bounds.append(d)
+    assert any(d % 2 for d in bounds) and any(d % 8 == 0 for d in bounds)
+    for d in bounds:
+        assert engine.count_le(d) - engine.count_le(d - 1) == 1, d
+        peeled, whole = _peeled_and_whole(lambda: engine.count_le(d))
+        assert peeled == whole, d
+
+
+def test_peel_answers_a_count_whose_whole_lists_pass_the_cap():
+    # y = 250 at e^40: the half lists of the whole rows pass LIST_CAP; without
+    # the row of 2 they fit
+    t = build_table(250)
+    x = int(math.exp(40))
+    with mock.patch.object(ct, "_PEEL_BOUND", 1 << 63), \
+            pytest.raises(ResourceError, match="36076847 entries exceeds the cap"):
+        count_ultrafriable(x, t)
+    start = time.perf_counter()
+    assert count_ultrafriable(x, t) == 68_631_190_874
+    assert time.perf_counter() - start < 5
 
 
 @pytest.mark.parametrize("y, lx", [(120, 52), (150, 55)])
@@ -916,11 +1006,8 @@ def test_split_peak_is_one_groups_lists(y, lx):
     # count peaks at the largest single group, not at two groups at once
     engine = ct.get_counter(build_table(y))
     x = int(math.exp(lx))
-    leaves = [(s, k, b) for s, k, b, _ in ct._split_plan(engine.rows, x, 1) if b is not None]
-    tops = {}
-    for _, k, b in leaves:
-        tops[k] = max(tops.get(k, 0), b)
-    assert len(tops) > 1
+    groups = _group_rows(engine, x)
+    assert len(groups) > 1
 
     def peak(count):
         tracemalloc.start()
@@ -930,8 +1017,8 @@ def test_split_peak_is_one_groups_lists(y, lx):
         finally:
             tracemalloc.stop()
 
-    one_group = max(peak(lambda: ct._residue_pairs(*ct._halves(ct._Plan(engine.rows[:k]), b), b, 1))
-                    for k, b in tops.items())
+    one_group = max(peak(lambda: ct._residue_pairs(*ct._halves(ct._Plan(rows), b), b, 1))
+                    for rows, b in groups.values())
     assert peak(lambda: engine.count_le(x)) < 1.05 * one_group
 
 
@@ -1237,6 +1324,23 @@ def test_progression_early_returns_unchanged():
                             naive_oracle(x, y, a=a, q=q, mode="friable"), (x, y, a, q)
     t = build_table(10)
     assert [count_ultrafriable_progression(0, t, a, 7) for a in range(7)] == [0] * 7
+
+
+def test_first_class_at_a_point_reads_the_vector_built_there():
+    # a point whose vector is built is recorded: its first class asked reads it
+    t = build_table(100)
+    x = int(math.exp(29))
+    ct._class_vector.cache_clear()
+    ct._asked.clear()
+    ultra = count_ultrafriable_residues(x, t, 210)
+    friable = ct._class_vector(10**6, 150, 7, "friable")
+    with mock.patch.object(ct, "_class_count", wraps=ct._class_count) as alone:
+        got = [count_ultrafriable_progression(x, t, a, 210) for a in (11, 0, 209, -1)]
+        got_friable = [count_friable_progression(10**6, 150, a, 7) for a in range(7)]
+    alone.assert_not_called()
+    assert got == [ultra[a] for a in (11, 0, 209, -1)]
+    assert got_friable == list(friable.counts)
+    assert ct._class_vector.cache_info().misses == 2
 
 
 def test_second_class_at_a_point_reads_one_vector():

@@ -42,6 +42,7 @@ COUNTING_TESTS = ("tests/test_counting.py",)
 ESTIMATOR_TESTS = ("tests/test_estimators.py",)
 BETA_GRID_TEST = ("tests/test_saddle.py::test_beta_grid_newton_evaluations",)
 ONE_CLASS_SEARCH_TEST = "tests/test_counting.py::test_one_class_search_asks_the_g_classes_of_a_shared_gcd"
+PEEL_TEST = "tests/test_counting.py::test_peeled_counts_step_by_one_at_divisors"
 TIMEOUT_S = 300  # per pytest run
 
 MUTANTS = (
@@ -123,6 +124,15 @@ MUTANTS = (
     ("one-class tail stops below isqrt(X)", COUNTING,
      "np.arange(1, math.isqrt(X) + 1), X, a, q)", "np.arange(1, math.isqrt(X)), X, a, q)",
      ("tests/test_counting.py::test_one_class_tail_reaches_isqrt_x",)),
+    # a peeled leaf sums the counts at b // p^e over every power p^0..p^nu of the smallest row
+    ("peel multipliers stop below p^nu", COUNTING,
+     "for e in range(nu + 1) if p ** e <= b)", "for e in range(nu) if p ** e <= b)", (PEEL_TEST,)),
+    # the sub-bounds of a peeled leaf are floored quotients of b itself
+    ("peel sub-bound one below", COUNTING,
+     "pairs(*halves, b // p ** e, *rest)", "pairs(*halves, (b - 1) // p ** e, *rest)", (PEEL_TEST,)),
+    # mod q > 1 the classes of b // p^e would need the multiplier p^e: only plain counts peel
+    ("peel at every q", COUNTING,
+     "peel=q == 1)", "peel=True)", ("tests/test_counting.py::test_residue_count_anchors",)),
     # a primitive root g mod p with g^(p-1) = 1 mod p^2 does not generate mod p^2; g + p does
     ("primitive root lift dropped", CHARACTERS,
      "        g += p\n", "        pass\n", ("tests/test_characters.py",)),
